@@ -1,31 +1,33 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
+#include "common/trace.hpp"
 #include "ordering/etree.hpp"
 
 namespace gesp::symbolic {
 namespace {
 
 /// Per-column Gilbert–Peierls symbolic elimination with the diagonal pivot
-/// order. Fills `Lcols[j]` with the row indices >= j of L(:,j) (diagonal
-/// forced in), accumulates the exact factor counts, and records which
-/// consecutive columns have nesting structures (T2 supernode joins).
+/// order. Builds the row indices >= j of each L(:,j) (diagonal forced in),
+/// accumulates the exact factor counts, and records which consecutive
+/// columns have nesting structures (T2 supernode joins). The column
+/// patterns themselves are dropped: the block pass rebuilds the supernodal
+/// structure from A.
 ///
 /// Speed comes from Eisenstat–Liu symmetric pruning: once a symmetric
 /// nonzero pair L(j,k) / U(k,j) exists, rows of L(:,k) beyond j are
 /// reachable through column j, so the depth-first searches of later columns
 /// traverse only the pruned prefix of column k. Pruning permutes the stored
-/// row lists, which is why the T2 test runs inline against a saved sorted
-/// copy of the previous column.
+/// row lists, but only of columns k < j during iteration j, and only after
+/// that iteration's T2 test: the test reads L(:,j-1) while it is still
+/// sorted.
 template <class T>
-void gp_symbolic(const sparse::CscMatrix<T>& A,
-                 std::vector<std::vector<index_t>>& Lcols, count_t& nnz_L,
+void gp_symbolic(const sparse::CscMatrix<T>& A, count_t& nnz_L,
                  count_t& nnz_U, std::vector<char>& t2_join) {
   const index_t n = A.ncols;
-  Lcols.assign(static_cast<std::size_t>(n), {});
+  std::vector<std::vector<index_t>> Lcols(static_cast<std::size_t>(n));
   t2_join.assign(static_cast<std::size_t>(n), 0);
   nnz_L = 0;
   nnz_U = n;  // U diagonal (the pivots)
@@ -33,7 +35,7 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
   std::vector<index_t> dfs_len(static_cast<std::size_t>(n), 0);
   std::vector<char> pruned(static_cast<std::size_t>(n), 0);
   std::vector<index_t> stack, pos;  // DFS state
-  std::vector<index_t> lrows, ureach, prev_rows;
+  std::vector<index_t> lrows, ureach;
 
   for (index_t j = 0; j < n; ++j) {
     lrows.clear();
@@ -91,12 +93,12 @@ void gp_symbolic(const sparse::CscMatrix<T>& A,
     nnz_L += static_cast<count_t>(lrows.size());
     nnz_U += static_cast<count_t>(ureach.size());
     // Inline T2 test: struct(L(:,j)) == struct(L(:,j-1)) \ {j-1} ?
-    if (j > 0 && prev_rows.size() == lrows.size() + 1)
+    if (j > 0 && Lcols[j - 1].size() == lrows.size() + 1)
       t2_join[j] = std::equal(lrows.begin(), lrows.end(),
-                              prev_rows.begin() + 1);
-    prev_rows = lrows;
-    Lcols[j] = lrows;
+                              Lcols[j - 1].begin() + 1);
     dfs_len[j] = static_cast<index_t>(lrows.size());
+    // An exact-size copy: moving lrows in would keep its push_back slack.
+    Lcols[j].assign(lrows.begin(), lrows.end());
 
     // Symmetric pruning: k has U(k,j) != 0 (k in ureach); if L(j,k) is also
     // nonzero, rows of L(:,k) beyond j are reachable via column j.
@@ -160,6 +162,146 @@ std::vector<index_t> partition_supernodes(const std::vector<char>& t2_join,
   return sn_start;
 }
 
+index_t block_of(const LBlock& b) { return b.I; }
+index_t block_of(const UBlock& b) { return b.J; }
+const std::vector<index_t>& indices(const LBlock& b) { return b.rows; }
+const std::vector<index_t>& indices(const UBlock& b) { return b.cols; }
+
+/// Appends i to `acc` unless `mark` already holds it for block J.
+void add_index(index_t i, index_t J, std::vector<index_t>& mark,
+               std::vector<index_t>& acc) {
+  if (mark[i] == J) return;
+  mark[i] = J;
+  acc.push_back(i);
+}
+
+/// Finishes block column (or row) J of `blocks`: `acc` arrives with A's
+/// indices beyond block J, each contributor K adds the indices of its
+/// blocks beyond J, and the sorted union is cut into blocks. Returns the
+/// total index count.
+template <class Block>
+count_t pull(std::vector<std::vector<Block>>& blocks, index_t J,
+             const std::vector<index_t>& contributors,
+             const std::vector<index_t>& sn_start,
+             const std::vector<index_t>& col_to_sn,
+             std::vector<index_t>& mark, std::vector<index_t>& acc) {
+  for (const index_t K : contributors) {
+    const auto& tail = blocks[K];
+    auto it = std::upper_bound(
+        tail.begin(), tail.end(), J,
+        [](index_t v, const Block& b) { return v < block_of(b); });
+    for (; it != tail.end(); ++it)
+      for (const index_t i : indices(*it)) add_index(i, J, mark, acc);
+  }
+  std::sort(acc.begin(), acc.end());
+  for (auto q = acc.begin(); q != acc.end();) {
+    const index_t I = col_to_sn[*q];
+    const auto e = std::lower_bound(q, acc.end(), sn_start[I + 1]);
+    blocks[J].push_back(Block{I, {q, e}});
+    q = e;
+  }
+  return static_cast<count_t>(acc.size());
+}
+
+/// Step 3: the block structure of Figure 7, pulled supernode by supernode.
+///
+/// The right-looking elimination of Figure 8 sends, for each K and each
+/// pair of blocks (I, J) of L(:,K) and U(K,:), the rows of L(I,K) into
+/// L(I,J) when I > J and the columns of U(K,J) into U(I,J) when I < J.
+/// Read from the receiving side: block column J of L is A's part below
+/// block J plus, for every K with U(K,J) != 0 (an L-contributor of J), the
+/// rows of L(:,K) in blocks > J; block row J of U is the same with the
+/// roles swapped. Every contributor K < J is final when J is reached, so
+/// one ascending pass over J computes the structure.
+///
+/// Symmetric pruning at block level keeps the contributor lists short. Let
+/// P(K) be the first block present in both L(:,K) and U(K,:). The pairs
+/// (I, P(K)) and (P(K), J) put every block of L(:,K) and U(K,:) beyond
+/// P(K) into L(:,P(K)) and U(P(K),:). So for J > P(K), P(K) is a
+/// contributor of J whose tail contains K's: K is registered only with the
+/// blocks up to P(K), and the structure is unchanged.
+///
+/// The counts follow per K in closed form from the block sizes b, the
+/// total rows R of L(:,K) and the total columns C of U(K,:): the update
+/// term sum over pairs of 2*rows*b*cols is exactly 2*b*R*C.
+template <class T>
+void block_structure(const sparse::CscMatrix<T>& A, SymbolicLU& S) {
+  const index_t n = S.n, N = S.nsup;
+  const std::vector<index_t>& sn = S.col_to_sn;
+  // A's entries right of the diagonal blocks, bucketed by block row:
+  // ucol[uptr[I] .. uptr[I+1]) holds the columns j of the entries A(i, j)
+  // with col_to_sn[i] = I < col_to_sn[j].
+  std::vector<index_t> uptr(static_cast<std::size_t>(N) + 1, 0);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
+      if (sn[A.rowind[p]] < sn[j]) ++uptr[sn[A.rowind[p]] + 1];
+  for (index_t I = 0; I < N; ++I) uptr[I + 1] += uptr[I];
+  std::vector<index_t> ucol(static_cast<std::size_t>(uptr[N]));
+  {
+    std::vector<index_t> next(uptr.begin(), uptr.end() - 1);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
+        if (sn[A.rowind[p]] < sn[j]) ucol[next[sn[A.rowind[p]]]++] = j;
+  }
+
+  S.L.assign(static_cast<std::size_t>(N), {});
+  S.U.assign(static_cast<std::size_t>(N), {});
+  S.sn_parent.assign(static_cast<std::size_t>(N), -1);
+  // lcontrib[J]: registered K with U(K,J) != 0; ucontrib[I]: with L(I,K).
+  std::vector<std::vector<index_t>> lcontrib(static_cast<std::size_t>(N)),
+      ucontrib(static_cast<std::size_t>(N));
+  std::vector<index_t> lmark(static_cast<std::size_t>(n), -1),
+      umark(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> acc;
+
+  for (index_t J = 0; J < N; ++J) {
+    acc.clear();
+    for (index_t j = S.sn_start[J]; j < S.sn_start[J + 1]; ++j)
+      for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p)
+        if (sn[A.rowind[p]] > J) add_index(A.rowind[p], J, lmark, acc);
+    const count_t R =
+        pull(S.L, J, lcontrib[J], S.sn_start, sn, lmark, acc);
+    acc.clear();
+    for (index_t p = uptr[J]; p < uptr[J + 1]; ++p)
+      add_index(ucol[p], J, umark, acc);
+    const count_t C =
+        pull(S.U, J, ucontrib[J], S.sn_start, sn, umark, acc);
+    lcontrib[J] = {};
+    ucontrib[J] = {};
+
+    // Register J with the blocks up to its pruning point P(J).
+    const auto& Lb = S.L[J];
+    const auto& Ub = S.U[J];
+    index_t P = N;
+    for (std::size_t a = 0, c = 0; a < Lb.size() && c < Ub.size();) {
+      if (Lb[a].I == Ub[c].J) {
+        P = Lb[a].I;
+        break;
+      }
+      if (Lb[a].I < Ub[c].J)
+        ++a;
+      else
+        ++c;
+    }
+    for (const UBlock& ub : Ub) {
+      if (ub.J > P) break;
+      lcontrib[ub.J].push_back(J);
+    }
+    for (const LBlock& lb : Lb) {
+      if (lb.I > P) break;
+      ucontrib[lb.I].push_back(J);
+    }
+
+    // getrf of the diagonal block, trsm of L(:,J) and U(J,:), and the
+    // rank-b update of every (I, J') pair.
+    const count_t b = S.block_cols(J);
+    S.flops += 2 * b * b * b / 3 + R * b * b + b * b * C + 2 * R * b * C;
+    S.stored_L += b * b + R * b;  // full diagonal block holds U's triangle
+    S.stored_U += b * C;
+    if (!Lb.empty()) S.sn_parent[J] = Lb.front().I;
+  }
+}
+
 }  // namespace
 
 template <class T>
@@ -175,101 +317,24 @@ SymbolicLU analyze(const sparse::CscMatrix<T>& A, const SymbolicOptions& opt) {
     return S;
   }
 
-  // --- 1. exact per-column symbolic.
-  std::vector<std::vector<index_t>> Lcols;
-  std::vector<char> t2_join;
-  gp_symbolic(A, Lcols, S.nnz_L, S.nnz_U, t2_join);
+  {
+    GESP_TRACE_SPAN("symbolic", "columns");
+    // --- 1. exact per-column symbolic.
+    std::vector<char> t2_join;
+    gp_symbolic(A, S.nnz_L, S.nnz_U, t2_join);
 
-  // --- 2. supernode partition.
-  const std::vector<index_t> parent = ordering::column_etree(A);
-  S.sn_start = partition_supernodes(t2_join, parent, opt);
-  S.nsup = static_cast<index_t>(S.sn_start.size()) - 1;
-  S.col_to_sn.resize(static_cast<std::size_t>(S.n));
-  for (index_t K = 0; K < S.nsup; ++K)
-    for (index_t j = S.sn_start[K]; j < S.sn_start[K + 1]; ++j)
-      S.col_to_sn[j] = K;
-  Lcols.clear();
-  Lcols.shrink_to_fit();
-
-  // --- 3. block replay of the right-looking elimination (Figure 8) on
-  // patterns. Lblk[K]: I -> rows of L(I,K); Ublk[K]: J -> cols of U(K,J).
-  std::vector<std::map<index_t, std::vector<index_t>>> Lblk(
-      static_cast<std::size_t>(S.nsup));
-  std::vector<std::map<index_t, std::vector<index_t>>> Ublk(
-      static_cast<std::size_t>(S.nsup));
-
-  // Seed from A's pattern.
-  for (index_t j = 0; j < S.n; ++j) {
-    const index_t J = S.col_to_sn[j];
-    for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
-      const index_t i = A.rowind[p];
-      const index_t I = S.col_to_sn[i];
-      if (I > J)
-        Lblk[J][I].push_back(i);
-      else if (I < J)
-        Ublk[I][J].push_back(j);
-      // diagonal blocks are stored full; no pattern needed
-    }
+    // --- 2. supernode partition.
+    const std::vector<index_t> parent = ordering::column_etree(A);
+    S.sn_start = partition_supernodes(t2_join, parent, opt);
+    S.nsup = static_cast<index_t>(S.sn_start.size()) - 1;
+    S.col_to_sn.resize(static_cast<std::size_t>(S.n));
+    for (index_t K = 0; K < S.nsup; ++K)
+      for (index_t j = S.sn_start[K]; j < S.sn_start[K + 1]; ++j)
+        S.col_to_sn[j] = K;
   }
-  auto normalize = [](std::vector<index_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  for (index_t K = 0; K < S.nsup; ++K) {
-    for (auto& [I, rows] : Lblk[K]) normalize(rows);
-    for (auto& [J, cols] : Ublk[K]) normalize(cols);
-  }
-
-  // Replay. By iteration K, Lblk[K]/Ublk[K] have received every update
-  // (they only come from iterations < K), so they are final when read.
-  std::vector<index_t> merged;
-  auto union_into = [&](std::vector<index_t>& dst,
-                        const std::vector<index_t>& src) {
-    merged.clear();
-    std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                   std::back_inserter(merged));
-    if (merged.size() != dst.size()) dst = merged;
-  };
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const count_t b = S.block_cols(K);
-    S.flops += 2 * b * b * b / 3;
-    for (const auto& [I, rows] : Lblk[K])
-      S.flops += static_cast<count_t>(rows.size()) * b * b;
-    for (const auto& [J, cols] : Ublk[K])
-      S.flops += b * b * static_cast<count_t>(cols.size());
-    for (const auto& [I, rows] : Lblk[K]) {
-      for (const auto& [J, cols] : Ublk[K]) {
-        S.flops += 2 * static_cast<count_t>(rows.size()) * b *
-                   static_cast<count_t>(cols.size());
-        if (I > J) {
-          union_into(Lblk[J][I], rows);
-        } else if (I < J) {
-          union_into(Ublk[I][J], cols);
-        }
-        // I == J: the update lands in the (full) diagonal block.
-      }
-    }
-  }
-
-  // --- 4. freeze into the SymbolicLU block lists + stored sizes + etree.
-  S.L.resize(static_cast<std::size_t>(S.nsup));
-  S.U.resize(static_cast<std::size_t>(S.nsup));
-  S.sn_parent.assign(static_cast<std::size_t>(S.nsup), -1);
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const count_t b = S.block_cols(K);
-    S.stored_L += b * b;  // full diagonal block (holds U's upper triangle too)
-    for (auto& [I, rows] : Lblk[K]) {
-      S.stored_L += static_cast<count_t>(rows.size()) * b;
-      S.L[K].push_back(LBlock{I, std::move(rows)});
-    }
-    for (auto& [J, cols] : Ublk[K]) {
-      S.stored_U += b * static_cast<count_t>(cols.size());
-      S.U[K].push_back(UBlock{J, std::move(cols)});
-    }
-    if (!S.L[K].empty()) S.sn_parent[K] = S.L[K].front().I;
-    Lblk[K].clear();
-    Ublk[K].clear();
-  }
+  // --- 3. block structure, stored sizes, flops and supernodal etree.
+  GESP_TRACE_SPAN("symbolic", "blocks");
+  block_structure(A, S);
   return S;
 }
 

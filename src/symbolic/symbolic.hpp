@@ -12,14 +12,18 @@
 //     oversized supernodes at `max_block` columns (the paper found 20-30
 //     best on the T3E and used 24).
 //  3. The nonuniform block partition of Figure 7: for every supernode pair,
-//     the row list of each L block and the column list of each U block,
-//     obtained by replaying the block right-looking elimination of Figure 8
-//     on patterns. The numeric phase performs exactly these updates, so the
-//     structure is closed by construction.
+//     the row list of each L block and the column list of each U block.
+//     One ascending pass over supernodes builds block column J of L (and
+//     block row J of U) from A's entries plus the blocks beyond J of the
+//     earlier supernodes whose updates reach J, with block-level symmetric
+//     pruning trimming those contributor lists. The result is exactly the
+//     set of blocks the block right-looking elimination of Figure 8 would
+//     touch, so the numeric phase's updates are closed by construction.
 //
 // The input matrix must already carry the final row/column permutations
-// (large-diagonal + fill-reducing + etree postorder) and have a zero-free
-// diagonal.
+// (large-diagonal + fill-reducing + etree postorder). A structurally zero
+// diagonal entry is not an error: the pivot slot is always stored, and the
+// numeric phase treats its zero value like any other tiny pivot.
 #pragma once
 
 #include <vector>
@@ -80,9 +84,10 @@ struct SymbolicLU {
   index_t block_cols(index_t K) const { return sn_start[K + 1] - sn_start[K]; }
 };
 
-/// Run the symbolic phase on the fully permuted matrix.
-/// Throws Errc::structurally_singular if a diagonal entry is structurally
-/// missing (callers should have pre-pivoted via the matching phase).
+/// Run the symbolic phase on the fully permuted matrix. Every diagonal
+/// position is a stored pivot slot, counted in nnz_L and nnz_U even where A
+/// has no entry; the matching phase is what keeps those slots nonzero.
+/// Throws Errc::invalid_argument for a non-square matrix or bad options.
 template <class T>
 SymbolicLU analyze(const sparse::CscMatrix<T>& A,
                    const SymbolicOptions& opt = {});
