@@ -1,7 +1,6 @@
 #include "dist/dist_lu.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <queue>
 #include <set>
@@ -11,6 +10,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "dense/kernels.hpp"
+#include "numeric/block_kernels.hpp"
 #include "sparse/coo.hpp"
 
 namespace gesp::dist {
@@ -47,18 +47,55 @@ int bcast_vec_tag(index_t nsup) { return static_cast<int>(nsup) * 16; }
 int gather_l_tag(index_t nsup) { return static_cast<int>(nsup) * 16 + 2; }
 int gather_u_tag(index_t nsup) { return static_cast<int>(nsup) * 16 + 3; }
 
-/// Position of each element of `sub` inside sorted superset `full`.
-void subset_positions(std::span<const index_t> sub,
-                      std::span<const index_t> full,
-                      std::vector<index_t>& pos) {
-  pos.resize(sub.size());
-  std::size_t q = 0;
-  for (std::size_t p = 0; p < sub.size(); ++p) {
-    while (q < full.size() && full[q] < sub[p]) ++q;
-    GESP_ASSERT(q < full.size() && full[q] == sub[p],
-                "block structure not closed under updates");
-    pos[p] = static_cast<index_t>(q);
+/// This rank's blocks as a numeric::block::BlockStore. A block the rank
+/// does not own is stored empty and reads as null. `D`/`B` are
+/// const-qualified in the const members.
+template <class D, class B>
+auto owned_store(D& diag, B& lblocks, B& ublocks) {
+  const auto data = [](auto& v) { return v.empty() ? nullptr : v.data(); };
+  return numeric::block::BlockStore{
+      [&diag, data](index_t I) { return data(diag[I]); },
+      [&lblocks, data](index_t J, index_t bi) { return data(lblocks[J][bi]); },
+      [&ublocks, data](index_t I, index_t bj) {
+        return data(ublocks[I][bj]);
+      }};
+}
+
+/// Collective gather of one factor onto rank 0: every rank serializes the
+/// entries `walk(emit)` emits as (i, j, value) triplets, rank 0 assembles
+/// them (plus a unit diagonal for L) and the other ranks return empty.
+template <class T, class Walk>
+sparse::CscMatrix<T> gather_entries(minimpi::Comm& comm, index_t n, int tag,
+                                    bool unit_diag, Walk walk) {
+  std::vector<T> vals;
+  std::vector<index_t> ij;
+  walk([&](index_t i, index_t j, T v) {
+    ij.push_back(i);
+    ij.push_back(j);
+    vals.push_back(v);
+  });
+  if (comm.rank() != 0) {
+    comm.send_vec(0, tag, ij);
+    comm.send_vec(0, tag, vals);
+    comm.barrier();
+    return {};
   }
+  sparse::CooMatrix<T> M(n, n);
+  if (unit_diag)
+    for (index_t d = 0; d < n; ++d) M.add(d, d, T{1});
+  auto absorb = [&](const std::vector<index_t>& ij2,
+                    const std::vector<T>& v2) {
+    for (std::size_t k = 0; k < v2.size(); ++k)
+      M.add(ij2[2 * k], ij2[2 * k + 1], v2[k]);
+  };
+  absorb(ij, vals);
+  for (int r = 1; r < comm.size(); ++r) {
+    const auto ij2 = comm.recv(r, tag).template as<index_t>();
+    const auto v2 = comm.recv(r, tag).template as<T>();
+    absorb(ij2, v2);
+  }
+  comm.barrier();
+  return M.to_csc();
 }
 
 // Task types of the factorization schedule, in strict program order per K.
@@ -130,37 +167,14 @@ void DistributedLU<T>::scatter_initial(const sparse::CscMatrix<T>& A) {
   }
   // Scatter owned entries of A (the matrix is replicated on entry, as the
   // paper's pre-parallel-symbolic implementation does).
+  const int me = grid_.rank_of(myrow_, mycol_);
+  const auto st = owned_store(diag_, lblocks_, ublocks_);
   for (index_t j = 0; j < S.n; ++j) {
     const index_t J = S.col_to_sn[j];
-    const index_t cj = j - S.sn_start[J];
-    const index_t bj = S.block_cols(J);
     for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
       const index_t i = A.rowind[p];
-      const index_t I = S.col_to_sn[i];
-      if (grid_.owner(I, J) != grid_.rank_of(myrow_, mycol_)) continue;
-      const T v = A.values[p];
-      if (I == J) {
-        diag_[J][(i - S.sn_start[J]) + cj * bj] = v;
-      } else if (I > J) {
-        // L block: locate block and row position.
-        for (std::size_t bi = 0; bi < S.L[J].size(); ++bi) {
-          if (S.L[J][bi].I != I) continue;
-          const auto& rows = S.L[J][bi].rows;
-          const auto it = std::lower_bound(rows.begin(), rows.end(), i);
-          lblocks_[J][bi][(it - rows.begin()) +
-                          cj * static_cast<index_t>(rows.size())] = v;
-          break;
-        }
-      } else {
-        for (std::size_t uj = 0; uj < S.U[I].size(); ++uj) {
-          if (S.U[I][uj].J != J) continue;
-          const auto& cols = S.U[I][uj].cols;
-          const auto it = std::lower_bound(cols.begin(), cols.end(), j);
-          ublocks_[I][uj][(i - S.sn_start[I]) +
-                          (it - cols.begin()) * S.block_cols(I)] = v;
-          break;
-        }
-      }
+      if (grid_.owner(S.col_to_sn[i], J) != me) continue;
+      *st.at(numeric::block::locate(S, i, j)) = A.values[p];
     }
   }
 }
@@ -500,59 +514,20 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
     // Rank-b update of the owned trailing blocks in this class. Distinct
     // pairs write distinct destinations, so the near/rest split cannot
     // change any accumulation order within one source K.
+    const auto dst = owned_store(diag_, lblocks_, ublocks_);
     for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
       const index_t I = S.L[K][bi].I;
       if (grid_.prow_of(I) != myrow_ || lptr[bi] == nullptr) continue;
-      const auto& src_rows = S.L[K][bi].rows;
-      const index_t m = static_cast<index_t>(src_rows.size());
       for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
         const index_t J = S.U[K][uj].J;
         if (grid_.pcol_of(J) != mycol_ || uptr[uj] == nullptr) continue;
         if ((std::min(I, J) == K + 1) != near_class) continue;
-        const auto& src_cols = S.U[K][uj].cols;
-        const index_t c = static_cast<index_t>(src_cols.size());
-        scratch.assign(static_cast<std::size_t>(m) * c, T{});
-        dense::gemm_minus(m, c, b, lptr[bi], m, uptr[uj], b, scratch.data(),
-                          m);
-        if (I == J) {
-          T* dst = diag_[I].data();
-          const index_t bI = S.block_cols(I);
-          const index_t base = S.sn_start[I];
-          for (index_t cc = 0; cc < c; ++cc)
-            for (index_t rr = 0; rr < m; ++rr)
-              dst[(src_rows[rr] - base) + (src_cols[cc] - base) * bI] +=
-                  scratch[rr + cc * m];
-          dec(tid(I, kDfac));
-        } else if (I > J) {
-          // destination L block (I, J).
-          std::size_t dbi = 0;
-          while (S.L[J][dbi].I != I) ++dbi;
-          const auto& dst_rows = S.L[J][dbi].rows;
-          subset_positions(src_rows, dst_rows, rpos);
-          T* dst = lblocks_[J][dbi].data();
-          const index_t ldd = static_cast<index_t>(dst_rows.size());
-          const index_t base = S.sn_start[J];
-          for (index_t cc = 0; cc < c; ++cc) {
-            T* dcol = dst + (src_cols[cc] - base) * ldd;
-            for (index_t rr = 0; rr < m; ++rr)
-              dcol[rpos[rr]] += scratch[rr + cc * m];
-          }
-          dec(tid(J, kLpan));
-        } else {
-          std::size_t dbj = 0;
-          while (S.U[I][dbj].J != J) ++dbj;
-          const auto& dst_cols = S.U[I][dbj].cols;
-          subset_positions(src_cols, dst_cols, cpos);
-          T* dst = ublocks_[I][dbj].data();
-          const index_t bI = S.block_cols(I);
-          const index_t base = S.sn_start[I];
-          for (index_t cc = 0; cc < c; ++cc) {
-            T* dcol = dst + cpos[cc] * bI;
-            for (index_t rr = 0; rr < m; ++rr)
-              dcol[src_rows[rr] - base] += scratch[rr + cc * m];
-          }
-          dec(tid(I, kUpan));
-        }
+        numeric::block::update_pair(S, K, bi, uj, lptr[bi], uptr[uj], dst,
+                                    scratch, rpos, cpos);
+        // One pair edge of the panel task that reads the destination.
+        dec(I == J  ? tid(I, kDfac)
+            : I > J ? tid(J, kLpan)
+                    : tid(I, kUpan));
       }
     }
     if (!near_class) rest_ptr++;
@@ -621,20 +596,10 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
 
 template <class T>
 double DistributedLU<T>::factor_entry_max() const {
-  using std::abs;
-  const symbolic::SymbolicLU& S = *sym_;
+  const auto st = owned_store(diag_, lblocks_, ublocks_);
   double m = 0.0;
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const index_t b = S.block_cols(K);
-    if (!diag_[K].empty()) {
-      for (index_t c = 0; c < b; ++c)
-        for (index_t r = 0; r <= c; ++r)
-          m = std::max(m, static_cast<double>(abs(diag_[K][r + c * b])));
-    }
-    for (const auto& blk : ublocks_[K])
-      for (const T& v : blk)
-        m = std::max(m, static_cast<double>(abs(v)));
-  }
+  for (index_t K = 0; K < sym_->nsup; ++K)
+    m = std::max(m, numeric::block::u_row_max(*sym_, K, st));
   return m;
 }
 
@@ -937,112 +902,21 @@ void DistributedLU<T>::solve_upper_dist(minimpi::Comm& comm,
 template <class T>
 sparse::CscMatrix<T> DistributedLU<T>::gather_l(minimpi::Comm& comm) const {
   const symbolic::SymbolicLU& S = *sym_;
-  // Serialize owned L entries as (i, j, value) triplets toward rank 0.
-  std::vector<T> vals;
-  std::vector<index_t> ij;
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const index_t b = S.block_cols(K);
-    const index_t base = S.sn_start[K];
-    if (!diag_[K].empty()) {
-      for (index_t c = 0; c < b; ++c)
-        for (index_t r = c + 1; r < b; ++r) {
-          const T v = diag_[K][r + c * b];
-          if (v == T{}) continue;
-          ij.push_back(base + r);
-          ij.push_back(base + c);
-          vals.push_back(v);
-        }
-    }
-    for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
-      if (lblocks_[K][bi].empty()) continue;
-      const auto& rows = S.L[K][bi].rows;
-      const index_t m = static_cast<index_t>(rows.size());
-      for (index_t c = 0; c < b; ++c)
-        for (index_t r = 0; r < m; ++r) {
-          const T v = lblocks_[K][bi][r + c * m];
-          if (v == T{}) continue;
-          ij.push_back(rows[r]);
-          ij.push_back(base + c);
-          vals.push_back(v);
-        }
-    }
-  }
-  const int tag = gather_l_tag(S.nsup);
-  if (comm.rank() != 0) {
-    comm.send_vec(0, tag, ij);
-    comm.send_vec(0, tag, vals);
-    comm.barrier();
-    return {};
-  }
-  sparse::CooMatrix<T> L(S.n, S.n);
-  for (index_t d = 0; d < S.n; ++d) L.add(d, d, T{1});
-  auto absorb = [&](const std::vector<index_t>& ij2,
-                    const std::vector<T>& v2) {
-    for (std::size_t k = 0; k < v2.size(); ++k)
-      L.add(ij2[2 * k], ij2[2 * k + 1], v2[k]);
+  const auto st = owned_store(diag_, lblocks_, ublocks_);
+  const auto walk = [&](auto emit) {
+    numeric::block::for_each_l_entry(S, st, emit);
   };
-  absorb(ij, vals);
-  for (int r = 1; r < comm.size(); ++r) {
-    const auto ij2 = comm.recv(r, tag).template as<index_t>();
-    const auto v2 = comm.recv(r, tag).template as<T>();
-    absorb(ij2, v2);
-  }
-  comm.barrier();
-  return L.to_csc();
+  return gather_entries<T>(comm, S.n, gather_l_tag(S.nsup), true, walk);
 }
 
 template <class T>
 sparse::CscMatrix<T> DistributedLU<T>::gather_u(minimpi::Comm& comm) const {
   const symbolic::SymbolicLU& S = *sym_;
-  std::vector<T> vals;
-  std::vector<index_t> ij;
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const index_t b = S.block_cols(K);
-    const index_t base = S.sn_start[K];
-    if (!diag_[K].empty()) {
-      for (index_t c = 0; c < b; ++c)
-        for (index_t r = 0; r <= c; ++r) {
-          const T v = diag_[K][r + c * b];
-          if (v == T{} && r != c) continue;
-          ij.push_back(base + r);
-          ij.push_back(base + c);
-          vals.push_back(v);
-        }
-    }
-    for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
-      if (ublocks_[K][uj].empty()) continue;
-      const auto& cols = S.U[K][uj].cols;
-      for (std::size_t cc = 0; cc < cols.size(); ++cc)
-        for (index_t r = 0; r < b; ++r) {
-          const T v = ublocks_[K][uj][r + cc * static_cast<std::size_t>(b)];
-          if (v == T{}) continue;
-          ij.push_back(base + r);
-          ij.push_back(cols[cc]);
-          vals.push_back(v);
-        }
-    }
-  }
-  const int tag = gather_u_tag(S.nsup);
-  if (comm.rank() != 0) {
-    comm.send_vec(0, tag, ij);
-    comm.send_vec(0, tag, vals);
-    comm.barrier();
-    return {};
-  }
-  sparse::CooMatrix<T> U(S.n, S.n);
-  auto absorb = [&](const std::vector<index_t>& ij2,
-                    const std::vector<T>& v2) {
-    for (std::size_t k = 0; k < v2.size(); ++k)
-      U.add(ij2[2 * k], ij2[2 * k + 1], v2[k]);
+  const auto st = owned_store(diag_, lblocks_, ublocks_);
+  const auto walk = [&](auto emit) {
+    numeric::block::for_each_u_entry(S, st, emit);
   };
-  absorb(ij, vals);
-  for (int r = 1; r < comm.size(); ++r) {
-    const auto ij2 = comm.recv(r, tag).template as<index_t>();
-    const auto v2 = comm.recv(r, tag).template as<T>();
-    absorb(ij2, v2);
-  }
-  comm.barrier();
-  return U.to_csc();
+  return gather_entries<T>(comm, S.n, gather_u_tag(S.nsup), false, walk);
 }
 
 template class DistributedLU<double>;

@@ -12,7 +12,9 @@
 //       forms U(K, K+1:N), (3) L(:,K) travels across process rows and
 //       U(K,:) down process columns — pruned to the process columns/rows
 //       that actually own an affected trailing block (the EDAG rule) —
-//       and every owner applies its rank-b updates.
+//       and every owner applies its rank-b updates through the same
+//       supernodal block kernel as the serial engine
+//       (numeric/block_kernels.hpp), so the factors are bitwise equal.
 //
 // With opt.pipelined (the default) the iterations are not executed in
 // strict order: each rank runs a message-driven ready-task scheduler with
@@ -98,7 +100,7 @@ class DistributedLU {
   const dense::PivotStats& pivot_stats() const { return pivot_stats_; }
   /// Local max |entry| over this rank's U (diagonal upper triangles and
   /// off-diagonal U blocks) — the numerator of the pivot-growth estimate,
-  /// mirroring LUFactors::compute_growth.
+  /// the same numeric::block::u_row_max walk LUFactors' growth monitor runs.
   double factor_entry_max() const;
   /// Panel tasks (GETRF / panel TRSM) this rank executed while an
   /// earlier-K trailing update was still pending — the Fig 8 look-ahead

@@ -10,60 +10,26 @@
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "numeric/block_kernels.hpp"
 #include "sparse/coo.hpp"
 
 namespace gesp::numeric {
 namespace {
 
-/// Binary search a block list for block index `I`; returns position or -1.
-template <class Block>
-index_t find_block(const std::vector<Block>& blocks, index_t I) {
-  index_t lo = 0, hi = static_cast<index_t>(blocks.size());
-  while (lo < hi) {
-    const index_t mid = lo + (hi - lo) / 2;
-    const index_t key = [&] {
-      if constexpr (requires { blocks[mid].I; })
-        return blocks[mid].I;
-      else
-        return blocks[mid].J;
-    }();
-    if (key < I)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  if (lo < static_cast<index_t>(blocks.size())) {
-    if constexpr (requires { blocks[lo].I; }) {
-      if (blocks[lo].I == I) return lo;
-    } else {
-      if (blocks[lo].J == I) return lo;
-    }
-  }
-  return -1;
-}
-
-/// Position of each element of `sub` inside the sorted superset `full`.
-/// A sparse sub in a long full list searches instead of scanning: the
-/// linear merge touches every full[] entry up to the last match, which for
-/// the typical 2-3-row update into a several-hundred-row destination block
-/// is the single most expensive loop of the whole update phase.
-void subset_positions(std::span<const index_t> sub,
-                      std::span<const index_t> full,
-                      std::vector<index_t>& pos) {
-  pos.resize(sub.size());
-  std::size_t q = 0;
-  const bool search = sub.size() * 8 < full.size();
-  for (std::size_t p = 0; p < sub.size(); ++p) {
-    if (search)
-      q = static_cast<std::size_t>(
-          std::lower_bound(full.begin() + q, full.end(), sub[p]) -
-          full.begin());
-    else
-      while (q < full.size() && full[q] < sub[p]) ++q;
-    GESP_ASSERT(q < full.size() && full[q] == sub[p],
-                "symbolic structure is not closed under updates");
-    pos[p] = static_cast<index_t>(q);
-  }
+/// LUFactors' storage as a block::BlockStore: one buffer per block column
+/// of L with the diagonal block first, one per block row of U, each block
+/// at its recorded offset. `V` is const-qualified in the const members.
+template <class V, class Offsets>
+auto packed_store(V& lnz, V& unz, const Offsets& l_off,
+                  const Offsets& u_off) {
+  return block::BlockStore{
+      [&lnz](index_t I) { return lnz[I].data(); },
+      [&lnz, &l_off](index_t J, index_t bi) {
+        return lnz[J].data() + l_off[J][bi];
+      },
+      [&unz, &u_off](index_t I, index_t bj) {
+        return unz[I].data() + u_off[I][bj];
+      }};
 }
 
 }  // namespace
@@ -82,7 +48,6 @@ LUFactors<T>::LUFactors(std::shared_ptr<const symbolic::SymbolicLU> sym,
 
 template <class T>
 void LUFactors<T>::scatter_initial(const sparse::CscMatrix<T>& A) {
-  using std::abs;
   const symbolic::SymbolicLU& S = *sym_;
   const index_t N = S.nsup;
   lnz_.resize(static_cast<std::size_t>(N));
@@ -114,46 +79,20 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
                                   const std::vector<char>* dirty) {
   using std::abs;
   const symbolic::SymbolicLU& S = *sym_;
-  // Scatter A. Every entry (i, j) lives in the storage of its OWNER
-  // supernode min(sn(i), sn(j)): the diagonal and L blocks of column
-  // supernode J when sn(i) >= J, the U row of supernode I when sn(i) < J.
-  // In the partial pass only dirty owners' buffers were zeroed, so only
-  // their entries are (re)written; amax_ still covers the whole matrix —
-  // it must match a full factorization's value bit for bit.
+  // Scatter A. Every entry lives in the storage of its owner supernode
+  // (block::locate). In the partial pass only dirty owners' buffers were
+  // zeroed, so only their entries are (re)written; amax_ still covers the
+  // whole matrix — it must match a full factorization's value bit for bit.
+  const auto st = packed_store(lnz_, unz_, l_off_, u_off_);
   amax_ = 0.0;
   for (index_t j = 0; j < S.n; ++j) {
     const index_t J = S.col_to_sn[j];
-    const index_t cj = j - S.sn_start[J];
-    const index_t bj = S.block_cols(J);
     for (index_t p = A.colptr[j]; p < A.colptr[j + 1]; ++p) {
       const index_t i = A.rowind[p];
       const T v = A.values[p];
       amax_ = std::max<double>(amax_, abs(v));
-      const index_t I = S.col_to_sn[i];
-      if (dirty && !(*dirty)[std::min(I, J)]) continue;
-      if (I == J) {
-        lnz_[J][(i - S.sn_start[J]) + cj * bj] = v;
-      } else if (I > J) {
-        const index_t bi = find_block(S.L[J], I);
-        GESP_ASSERT(bi >= 0, "A entry outside symbolic L structure");
-        const auto& rows = S.L[J][bi].rows;
-        const auto rit = std::lower_bound(rows.begin(), rows.end(), i);
-        GESP_ASSERT(rit != rows.end() && *rit == i,
-                    "A row missing from symbolic L block");
-        const index_t r = static_cast<index_t>(rit - rows.begin());
-        lnz_[J][l_off_[J][bi] + r + cj * static_cast<index_t>(rows.size())] =
-            v;
-      } else {
-        const index_t bI = S.block_cols(I);
-        const index_t bj2 = find_block(S.U[I], J);
-        GESP_ASSERT(bj2 >= 0, "A entry outside symbolic U structure");
-        const auto& cols = S.U[I][bj2].cols;
-        const auto cit = std::lower_bound(cols.begin(), cols.end(), j);
-        GESP_ASSERT(cit != cols.end() && *cit == j,
-                    "A column missing from symbolic U block");
-        const index_t c = static_cast<index_t>(cit - cols.begin());
-        unz_[I][u_off_[I][bj2] + (i - S.sn_start[I]) + c * bI] = v;
-      }
+      if (dirty && !(*dirty)[std::min(S.col_to_sn[i], J)]) continue;
+      *st.at(block::locate(S, i, j)) = v;
     }
   }
 }
@@ -163,123 +102,10 @@ void LUFactors<T>::update_pair(index_t K, std::size_t bi, std::size_t uj,
                                std::vector<T>& scratch,
                                std::vector<index_t>& rpos,
                                std::vector<index_t>& cpos) {
-  const symbolic::SymbolicLU& S = *sym_;
-  const index_t b = S.block_cols(K);
-  const index_t I = S.L[K][bi].I;
-  const auto& src_rows = S.L[K][bi].rows;
-  const index_t m = static_cast<index_t>(src_rows.size());
-  const T* lik = lnz_[K].data() + l_off_[K][bi];
-  const index_t J = S.U[K][uj].J;
-  const auto& src_cols = S.U[K][uj].cols;
-  const index_t c = static_cast<index_t>(src_cols.size());
-  const T* ukj = unz_[K].data() + u_off_[K][uj];
-  if (m == 1 && c == 1) {
-    // Scalar fast path (dominant when supernodes degenerate to single
-    // columns): the 1x1 product still goes through the dense library so the
-    // codegen (and thus rounding) is the exact kernel every other engine
-    // uses — only the scratch round-trip and subset scatter are skipped.
-    const T acc = dense::dot_minus(b, lik, ukj);
-    const index_t row = src_rows[0], col = src_cols[0];
-    if (I == J) {
-      const index_t base = S.sn_start[I];
-      lnz_[I][(row - base) + (col - base) * S.block_cols(I)] += acc;
-    } else if (I > J) {
-      const index_t dbi = find_block(S.L[J], I);
-      GESP_ASSERT(dbi >= 0, "missing destination L block");
-      const auto& dst_rows = S.L[J][dbi].rows;
-      const auto rit =
-          std::lower_bound(dst_rows.begin(), dst_rows.end(), row);
-      GESP_ASSERT(rit != dst_rows.end() && *rit == row,
-                  "symbolic structure is not closed under updates");
-      lnz_[J][l_off_[J][dbi] + (rit - dst_rows.begin()) +
-              (col - S.sn_start[J]) *
-                  static_cast<index_t>(dst_rows.size())] += acc;
-    } else {
-      const index_t dbj = find_block(S.U[I], J);
-      GESP_ASSERT(dbj >= 0, "missing destination U block");
-      const auto& dst_cols = S.U[I][dbj].cols;
-      const auto cit =
-          std::lower_bound(dst_cols.begin(), dst_cols.end(), col);
-      GESP_ASSERT(cit != dst_cols.end() && *cit == col,
-                  "symbolic structure is not closed under updates");
-      unz_[I][u_off_[I][dbj] + (row - S.sn_start[I]) +
-              (cit - dst_cols.begin()) * S.block_cols(I)] += acc;
-    }
-    return;
-  }
-  // tmp = -(L(I,K) · U(K,J)), m-by-c; the β=0 kernel writes every entry,
-  // so no zero-fill pass over the scratch is needed.
-  scratch.resize(static_cast<std::size_t>(m) * c);
-  dense::gemm_minus_overwrite(m, c, b, lik, m, ukj, b, scratch.data(), m);
-  // Scatter-add into the destination block.
-  if (I == J) {
-    // Diagonal block of supernode I (full storage).
-    T* dst = lnz_[I].data();
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (m == bI) {
-      // Rows cover the whole block (a subset of equal size IS the set):
-      // contiguous column adds, which vectorize.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * bI;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
-      }
-      return;
-    }
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      for (index_t rr = 0; rr < m; ++rr)
-        dst[(src_rows[rr] - base) + dc * bI] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  } else if (I > J) {
-    // L block (I, J): rows are a subset, columns are full width.
-    const index_t dbi = find_block(S.L[J], I);
-    GESP_ASSERT(dbi >= 0, "missing destination L block");
-    const auto& dst_rows = S.L[J][dbi].rows;
-    T* dst = lnz_[J].data() + l_off_[J][dbi];
-    const index_t ldd = static_cast<index_t>(dst_rows.size());
-    const index_t base = S.sn_start[J];
-    if (m == ldd) {
-      // Row sets identical: straight vectorizable adds, no position map.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * ldd;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
-      }
-      return;
-    }
-    subset_positions(src_rows, dst_rows, rpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      T* dcol = dst + dc * ldd;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[rpos[rr]] += scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  } else {
-    // U block (I, J): columns are a subset, rows are full height.
-    const index_t dbj = find_block(S.U[I], J);
-    GESP_ASSERT(dbj >= 0, "missing destination U block");
-    const auto& dst_cols = S.U[I][dbj].cols;
-    T* dst = unz_[I].data() + u_off_[I][dbj];
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (c == static_cast<index_t>(dst_cols.size()) && m == bI) {
-      // Columns identical and rows full height: one contiguous add over
-      // the whole m-by-c block.
-      const std::size_t len = static_cast<std::size_t>(m) * c;
-      for (std::size_t x = 0; x < len; ++x) dst[x] += scratch[x];
-      return;
-    }
-    subset_positions(src_cols, dst_cols, cpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      T* dcol = dst + cpos[cc] * bI;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[src_rows[rr] - base] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  }
+  block::update_pair(*sym_, K, bi, uj, lnz_[K].data() + l_off_[K][bi],
+                     unz_[K].data() + u_off_[K][uj],
+                     packed_store(lnz_, unz_, l_off_, u_off_), scratch, rpos,
+                     cpos);
 }
 
 template <class T>
@@ -730,17 +556,8 @@ void LUFactors<T>::permute_rows(const std::vector<index_t>& perm, T* blk,
 
 template <class T>
 bool LUFactors<T>::monitor_supernode(index_t K) {
-  using std::abs;
-  const symbolic::SymbolicLU& S = *sym_;
-  const index_t b = S.block_cols(K);
-  // Supernode K's contribution to max |U|: the diagonal block's upper
-  // triangle plus every U(K,J) segment — all final once the panel phase of
-  // K is done (later supernodes never write into block row K).
-  double umax = 0.0;
-  for (index_t c = 0; c < b; ++c)
-    for (index_t r = 0; r <= c; ++r)
-      umax = std::max<double>(umax, abs(lnz_[K][r + c * b]));
-  for (const T& v : unz_[K]) umax = std::max<double>(umax, abs(v));
+  const double umax =
+      block::u_row_max(*sym_, K, packed_store(lnz_, unz_, l_off_, u_off_));
   umax_k_[K] = umax;
   return growth_abort_ > 0.0 && amax_ > 0.0 &&
          umax > growth_abort_ * amax_;
@@ -965,27 +782,9 @@ template <class T>
 sparse::CscMatrix<T> LUFactors<T>::l_matrix() const {
   const symbolic::SymbolicLU& S = *sym_;
   sparse::CooMatrix<T> L(S.n, S.n);
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const index_t b = S.block_cols(K);
-    const index_t base = S.sn_start[K];
-    for (index_t c = 0; c < b; ++c) {
-      L.add(base + c, base + c, T{1});
-      for (index_t r = c + 1; r < b; ++r) {
-        const T v = lnz_[K][r + c * b];
-        if (v != T{}) L.add(base + r, base + c, v);
-      }
-    }
-    for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
-      const auto& rows = S.L[K][bi].rows;
-      const index_t m = static_cast<index_t>(rows.size());
-      const T* blk = lnz_[K].data() + l_off_[K][bi];
-      for (index_t c = 0; c < b; ++c)
-        for (index_t r = 0; r < m; ++r) {
-          const T v = blk[r + c * m];
-          if (v != T{}) L.add(rows[r], base + c, v);
-        }
-    }
-  }
+  for (index_t d = 0; d < S.n; ++d) L.add(d, d, T{1});
+  block::for_each_l_entry(S, packed_store(lnz_, unz_, l_off_, u_off_),
+                          [&L](index_t i, index_t j, T v) { L.add(i, j, v); });
   return L.to_csc();
 }
 
@@ -993,24 +792,8 @@ template <class T>
 sparse::CscMatrix<T> LUFactors<T>::u_matrix() const {
   const symbolic::SymbolicLU& S = *sym_;
   sparse::CooMatrix<T> U(S.n, S.n);
-  for (index_t K = 0; K < S.nsup; ++K) {
-    const index_t b = S.block_cols(K);
-    const index_t base = S.sn_start[K];
-    for (index_t c = 0; c < b; ++c)
-      for (index_t r = 0; r <= c; ++r) {
-        const T v = lnz_[K][r + c * b];
-        if (v != T{} || r == c) U.add(base + r, base + c, v);
-      }
-    for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
-      const auto& cols = S.U[K][uj].cols;
-      const T* blk = unz_[K].data() + u_off_[K][uj];
-      for (std::size_t cc = 0; cc < cols.size(); ++cc)
-        for (index_t r = 0; r < b; ++r) {
-          const T v = blk[r + cc * static_cast<std::size_t>(b)];
-          if (v != T{}) U.add(base + r, cols[cc], v);
-        }
-    }
-  }
+  block::for_each_u_entry(S, packed_store(lnz_, unz_, l_off_, u_off_),
+                          [&U](index_t i, index_t j, T v) { U.add(i, j, v); });
   return U.to_csc();
 }
 

@@ -53,12 +53,14 @@ struct NumericOptions {
   /// Record each replacement (global column, delta) so the solve can be
   /// corrected by the Sherman–Morrison–Woodbury formula.
   bool record_replacements = false;
-  /// Shared-memory parallel factorization (the SuperLU_MT-style execution
-  /// the paper compares against): panel TRSMs and rank-b update pairs are
-  /// forked across this many threads with a join per phase, so the result
-  /// is bitwise identical to the serial factorization. 1 = serial.
+  /// Shared-memory parallel factorization over this many threads. With
+  /// the default kAuto schedule, more than one thread runs the task DAG
+  /// (no per-phase joins); kForkJoin forks panel TRSMs and update pairs
+  /// with a join per phase. Every schedule is bitwise identical to the
+  /// serial factorization. 1 = serial.
   int num_threads = 1;
-  /// Thread schedule; see Schedule. Ignored when num_threads == 1.
+  /// Thread schedule; see Schedule. An explicit kTaskDag runs the DAG even
+  /// on one thread (bitwise equal to the serial loop).
   Schedule schedule = Schedule::kAuto;
   /// Pivot-selection strategy inside each diagonal block. Non-static
   /// strategies confine row interchanges to the diagonal block, so the
@@ -174,8 +176,8 @@ class LUFactors {
   void merge_pivot_stats();
   void eliminate_forkjoin(const NumericOptions& opt, ThreadPool& pool);
   void eliminate_taskdag(const NumericOptions& opt, ThreadPool& pool);
-  /// One trailing-matrix update: the (bi, uj) block pair of supernode K,
-  /// scratch = -(L(I,K)·U(K,J)) scatter-added into the destination block.
+  /// One trailing-matrix update: the (bi, uj) block pair of supernode K
+  /// through the shared kernel block::update_pair (numeric/block_kernels.hpp).
   void update_pair(index_t K, std::size_t bi, std::size_t uj,
                    std::vector<T>& scratch, std::vector<index_t>& rpos,
                    std::vector<index_t>& cpos);
@@ -189,7 +191,7 @@ class LUFactors {
   void permute_rows(const std::vector<index_t>& perm, T* blk, index_t b,
                     index_t ncols) const;
   /// In-flight growth monitor: max |U| over supernode K's finished row
-  /// (diagonal upper triangle + U blocks), recorded in umax_k_[K].
+  /// (block::u_row_max), recorded in umax_k_[K].
   /// Returns true when the running growth exceeds the abort threshold.
   bool monitor_supernode(index_t K);
   /// Merge umax_k_ into growth_, publish metrics/trace, throw

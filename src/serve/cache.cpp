@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 
 namespace gesp::serve {
 namespace {
@@ -21,6 +23,12 @@ bool same_pattern(const CacheEntry<T>& e, const sparse::CscMatrix<T>& A) {
 }
 
 }  // namespace
+
+void reject(const char* why) {
+  metrics::global().counter("serve.rejected").inc();
+  trace::instant("serve", "reject");
+  throw_error(Errc::overloaded, why);
+}
 
 template <class T>
 FactorizationCache<T>::FactorizationCache(std::size_t max_entries,

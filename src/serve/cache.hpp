@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -106,6 +107,36 @@ class FactorizationCache {
   std::size_t single_bytes_ = 0;  ///< recomputed in publish_locked
   std::uint64_t tick_ = 0;
 };
+
+/// Footprint estimate for one cache entry: the factors (stored supernodal
+/// values + structure), the retained transformed copy of A, the entry's
+/// exact-value check copy, and the O(n) transform vectors. Deliberately an
+/// estimate — the byte budget is a pressure valve, not an allocator. The
+/// factor values are charged at the precision they are actually stored at:
+/// a single-precision factorization costs half the dominant term, so a
+/// mixed-mode service fits ~2× the factorizations into one byte budget.
+template <class T>
+std::size_t entry_bytes(const Solver<T>& s, const sparse::CscMatrix<T>& A) {
+  const SolveStats& st = s.stats();
+  const std::size_t factor_scalar =
+      s.active_precision() == Precision::single ? sizeof(float) : sizeof(T);
+  return factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l, st.nnz_u,
+                            A.ncols, A.nnz(), factor_scalar, sizeof(T));
+}
+
+/// Bitwise equality of value arrays — the same byte-level view value_hash
+/// takes (so +0.0 != -0.0 and NaN == NaN, matching the hash).
+template <class T>
+bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
+  return cached.size() == now.size() &&
+         (cached.empty() ||
+          std::memcmp(cached.data(), now.data(),
+                      cached.size() * sizeof(T)) == 0);
+}
+
+/// Refuse a request at admission: counts serve.rejected, marks the trace
+/// and throws Errc::overloaded with `why`.
+[[noreturn]] void reject(const char* why);
 
 extern template class FactorizationCache<double>;
 extern template class FactorizationCache<Complex>;

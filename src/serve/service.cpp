@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,38 +15,6 @@ namespace {
 /// else (bad input, library bug) is rethrown to the client as-is.
 bool recoverable(Errc c) noexcept {
   return c == Errc::numerically_singular || c == Errc::unstable;
-}
-
-/// Footprint estimate for one cache entry: the factors (stored supernodal
-/// values + structure), the retained transformed copy of A, the entry's
-/// exact-value check copy, and the O(n) transform vectors. Deliberately an
-/// estimate — the byte budget is a pressure valve, not an allocator. The
-/// factor values are charged at the precision they are actually stored at:
-/// a single-precision factorization costs half the dominant term, so a
-/// mixed-mode service fits ~2× the factorizations into one byte budget.
-template <class T>
-std::size_t estimate_bytes(const Solver<T>& s, const sparse::CscMatrix<T>& A) {
-  const SolveStats& st = s.stats();
-  const std::size_t factor_scalar =
-      s.active_precision() == Precision::single ? sizeof(float) : sizeof(T);
-  return factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l, st.nnz_u,
-                            A.ncols, A.nnz(), factor_scalar, sizeof(T));
-}
-
-/// Bitwise equality of value arrays — the same byte-level view value_hash
-/// takes (so +0.0 != -0.0 and NaN == NaN, matching the hash).
-template <class T>
-bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
-  return cached.size() == now.size() &&
-         (cached.empty() ||
-          std::memcmp(cached.data(), now.data(),
-                      cached.size() * sizeof(T)) == 0);
-}
-
-[[noreturn]] void reject(const char* why) {
-  metrics::global().counter("serve.rejected").inc();
-  trace::instant("serve", "reject");
-  throw_error(Errc::overloaded, why);
 }
 
 }  // namespace
@@ -154,7 +121,7 @@ void SolverService<T>::warm(const sparse::CscMatrix<T>& A) {
   std::lock_guard elk(e->mu);
   prepare_entry(*e, A, sparse::value_hash(A), /*arm_recovery=*/false,
                 /*hostile=*/false);
-  cache_.update_bytes(e, estimate_bytes(*e->solver, A),
+  cache_.update_bytes(e, entry_bytes(*e->solver, A),
                       e->solver->active_precision());
 }
 
@@ -468,7 +435,7 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
       tmpl.hostile = hostile;
       tmpl.batch_width = width;
       tmpl.precision = e->solver->active_precision();
-      cache_.update_bytes(e, estimate_bytes(*e->solver, A),
+      cache_.update_bytes(e, entry_bytes(*e->solver, A),
                           tmpl.precision);
 
       std::vector<std::vector<T>> xs(live.size());
@@ -507,7 +474,7 @@ void SolverService<T>::execute_batch_impl(Batch& batch) {
       // replaced the float factors with double ones: re-account the entry
       // at its real footprint so the byte budget stays honest.
       if (e->solver->active_precision() != tmpl.precision)
-        cache_.update_bytes(e, estimate_bytes(*e->solver, A),
+        cache_.update_bytes(e, entry_bytes(*e->solver, A),
                             e->solver->active_precision());
       if (attempt > 0 || hostile) {
         // Reputation update for an armed-ladder execution. "The ladder ran

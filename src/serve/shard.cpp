@@ -35,32 +35,6 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Bitwise value equality — the same byte view value_hash takes.
-template <class T>
-bool same_values(const std::vector<T>& cached, const std::vector<T>& now) {
-  return cached.size() == now.size() &&
-         (cached.empty() ||
-          std::memcmp(cached.data(), now.data(),
-                      cached.size() * sizeof(T)) == 0);
-}
-
-/// Shard-side footprint of a cached entry — the shared core accounting, at
-/// the precision the factors are actually stored at.
-template <class T>
-std::size_t entry_bytes(const Solver<T>& s, const sparse::CscMatrix<T>& A) {
-  const SolveStats& st = s.stats();
-  const std::size_t factor_scalar =
-      s.active_precision() == Precision::single ? sizeof(float) : sizeof(T);
-  return factor_asset_bytes(st.stored_l, st.stored_u, st.nnz_l, st.nnz_u,
-                            A.ncols, A.nnz(), factor_scalar, sizeof(T));
-}
-
-[[noreturn]] void reject(const char* why) {
-  metrics::global().counter("serve.rejected").inc();
-  trace::instant("serve", "reject");
-  throw_error(Errc::overloaded, why);
-}
-
 /// A rank's own kill fault must terminate it even when it fires inside a
 /// caught collective episode — matched on the injector's message.
 bool is_kill_error(const Error& e) noexcept {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -17,6 +19,7 @@
 #include "dist/minimpi.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/testbed.hpp"
 #include "test_helpers.hpp"
 
 namespace gesp {
@@ -116,6 +119,83 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{"grid_2x2", 2, 2}, GridCase{"grid_2x3", 2, 3},
                       GridCase{"grid_4x4", 4, 4}),
     [](const auto& info) { return info.param.name; });
+
+/// Exact equality of two assembled factors: same pattern, same value bits.
+template <class T>
+bool bitwise_equal(const CscMatrix<T>& A, const CscMatrix<T>& B) {
+  return A.nrows == B.nrows && A.ncols == B.ncols && A.colptr == B.colptr &&
+         A.rowind == B.rowind && A.values.size() == B.values.size() &&
+         (A.values.empty() ||
+          std::memcmp(A.values.data(), B.values.data(),
+                      A.values.size() * sizeof(T)) == 0);
+}
+
+struct MatrixCase {
+  const char* name;
+  CscMatrix<double> (*make)();
+  index_t max_block;  ///< symbolic overrides (0 = default)
+  index_t relax;
+};
+
+class BackendMatrix : public ::testing::TestWithParam<MatrixCase> {};
+
+// The serial and distributed engines share one supernodal block kernel
+// (numeric/block_kernels.hpp), so the dist factors must equal the serial
+// ones bit for bit on the shapes that stress its paths: a circuit matrix
+// (mostly 1x1 update pairs and subset scatters into long blocks) and a
+// device matrix re-blocked into wide supernodes (tiled GEMMs and
+// equal-size contiguous adds).
+TEST_P(BackendMatrix, DistFactorsBitwiseEqualSerial) {
+  const auto& mc = GetParam();
+  const auto A = mc.make();
+  SolverOptions sopt;
+  sopt.backend = Backend::serial;
+  if (mc.max_block > 0) sopt.symbolic.max_block = mc.max_block;
+  if (mc.relax > 0) sopt.symbolic.relax = mc.relax;
+  Solver<double> serial(A, sopt);
+  const auto Lser = serial.factors().l_matrix();
+  const auto User = serial.factors().u_matrix();
+
+  for (const GridCase g : {GridCase{"grid_2x2", 2, 2},
+                           GridCase{"grid_2x3", 2, 3}}) {
+    SolverOptions dopt = sopt;
+    dopt.backend = Backend::dist;
+    dopt.dist.pr = g.pr;
+    dopt.dist.pc = g.pc;
+    minimpi::World world(g.pr * g.pc);
+    CscMatrix<double> Ld, Ud;
+    count_t dist_replaced = -1;
+    double dist_growth = -1.0;
+    world.run([&](minimpi::Comm& comm) {
+      DistSolver<double> ds(comm, A, dopt);
+      auto L = ds.lu().gather_l(comm);
+      auto U = ds.lu().gather_u(comm);
+      if (comm.rank() == 0) {
+        Ld = std::move(L);
+        Ud = std::move(U);
+        dist_replaced = ds.stats().pivots_replaced;
+        dist_growth = ds.stats().pivot_growth;
+      }
+    });
+    EXPECT_TRUE(bitwise_equal(Lser, Ld)) << mc.name << " " << g.name;
+    EXPECT_TRUE(bitwise_equal(User, Ud)) << mc.name << " " << g.name;
+    EXPECT_EQ(dist_replaced, serial.stats().pivots_replaced)
+        << mc.name << " " << g.name;
+    EXPECT_EQ(dist_growth, serial.stats().pivot_growth)
+        << mc.name << " " << g.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrices, BackendMatrix,
+    ::testing::Values(
+        MatrixCase{"add20_s",
+                   [] { return sparse::testbed_entry("add20-s").make(); }, 0,
+                   0},
+        MatrixCase{"device_wide",
+                   [] { return sparse::device_like(12, 30, 200, 17); }, 64,
+                   32}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Backend, Names) {
   EXPECT_STREQ(backend_name(Backend::serial), "serial");
