@@ -26,9 +26,14 @@ T replaced_pivot(T pivot, double tau) {
 // ---------------------------------------------------------------------------
 
 // jki order: stream down columns of C and A, which are contiguous.
-// noinline: every caller (the gemm dispatch, ref::, dot_minus) must share
-// ONE compiled copy — per-call-site inlining could contract the multiply-add
-// differently and break the cross-engine bitwise guarantee of INTERNALS §10.
+// noinline: every caller (the gemm dispatch, ref::) must share ONE compiled
+// copy — per-call-site inlining could contract the multiply-add differently
+// and break the cross-engine bitwise guarantee of INTERNALS §10.
+//
+// Complex runs on split re/im parts with the microkernel's per-term
+// expression (micro_tile_z), not std::complex's multiply: starting from
+// C = 0, each entry is then bitwise the tiled kernel's entry for the same
+// k, whatever the shape — the contract the fused Schur update relies on.
 template <class T>
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
@@ -42,7 +47,18 @@ void gemm_minus_naive(index_t m, index_t n, index_t k, const T* a,
       const T bpj = b[p + j * ldb];
       if (bpj == T{}) continue;
       const T* ap = a + p * lda;
-      for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bpj;
+      if constexpr (is_complex_v<T>) {
+        // std::complex<double> is layout-compatible with double[2].
+        const double br = bpj.real(), bi = bpj.imag();
+        const double* ar = reinterpret_cast<const double*>(ap);
+        double* cr = reinterpret_cast<double*>(cj);
+        for (index_t i = 0; i < m; ++i) {
+          cr[2 * i] -= ar[2 * i] * br - ar[2 * i + 1] * bi;
+          cr[2 * i + 1] -= ar[2 * i] * bi + ar[2 * i + 1] * br;
+        }
+      } else {
+        for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bpj;
+      }
     }
   }
 }
@@ -733,28 +749,21 @@ void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
   gemm_tiled(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false);
 }
 
+// Every entry's bits depend on k alone (INTERNALS §10): up to one k-panel
+// the naive loop and the tiled kernel sum the same terms in the same order
+// from zero, so the shape dispatch is free; a deeper k splits into kKc
+// panels, which only the tiled kernel does, so it takes every shape.
 template <class T>
 void gemm_minus_overwrite(index_t m, index_t n, index_t k, const T* a,
                           index_t lda, const T* b, index_t ldb, T* c,
                           index_t ldc) {
-  if (k == 0 || gemm_is_small<T>(m, n, k)) {
+  if (k == 0 || (k <= kKc && gemm_is_small<T>(m, n, k))) {
     for (index_t j = 0; j < n; ++j)
       std::fill_n(c + j * static_cast<std::size_t>(ldc), m, T{});
     gemm_minus_naive(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
   gemm_tiled(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true);
-}
-
-// The (1,1,k) small-shape dispatch lands in gemm_minus_naive, so calling
-// the same (noinline) instantiation directly is bitwise identical by
-// construction — this entry just skips the dispatch and zero-fill wrapper.
-template <class T>
-T dot_minus(index_t k, const T* a, const T* b) {
-  T c{};
-  gemm_minus_naive(index_t{1}, index_t{1}, k, a, index_t{1}, b, k, &c,
-                   index_t{1});
-  return c;
 }
 
 const char* panel_pivot_name(PanelPivot p) noexcept {
@@ -998,9 +1007,6 @@ template void gemm_minus_overwrite(index_t, index_t, index_t, const float*,
 template void gemm_minus_overwrite(index_t, index_t, index_t, const Complex*,
                                    index_t, const Complex*, index_t, Complex*,
                                    index_t);
-template double dot_minus(index_t, const double*, const double*);
-template float dot_minus(index_t, const float*, const float*);
-template Complex dot_minus(index_t, const Complex*, const Complex*);
 template void gemv_minus(index_t, index_t, const double*, index_t,
                          const double*, double*);
 template void gemv_minus(index_t, index_t, const float*, index_t,

@@ -112,21 +112,16 @@ template <class T>
 void gemm_minus(index_t m, index_t n, index_t k, const T* a, index_t lda,
                 const T* b, index_t ldb, T* c, index_t ldc);
 
-/// C = -(A·B): the β=0 variant of gemm_minus. Bitwise equal to zero-filling
-/// C and calling gemm_minus, without the redundant zero-fill pass — used by
-/// the factorization's update scratch. With k == 0 it zero-fills C.
+/// C = -(A·B): the β=0 variant of gemm_minus, without the zero-fill pass
+/// — the fused Schur update's product. Each entry's bits depend only on k
+/// and the entry's own row of A and column of B, never on m, n or the
+/// naive/tiled split: any entry equals the (1,1,k) product of its operands.
+/// That is what lets every engine chunk the update differently and still
+/// get identical factors. With k == 0 it zero-fills C.
 template <class T>
 void gemm_minus_overwrite(index_t m, index_t n, index_t k, const T* a,
                           index_t lda, const T* b, index_t ldb, T* c,
                           index_t ldc);
-
-/// Returns the single entry of gemm_minus_overwrite(1, 1, k, ...) — the
-/// k-term dot product -Σ a[p]·b[p], bitwise equal to the (1,1,k) kernel
-/// dispatch (same term order, same zero-skip, compiled in the same unit).
-/// The factorization's scalar update fast path calls this once per pair,
-/// so it skips the full GEMM entry's dispatch work.
-template <class T>
-T dot_minus(index_t k, const T* a, const T* b);
 
 /// y -= A·x for a dense m-by-n block (used by the triangular solves).
 template <class T>
@@ -249,9 +244,6 @@ extern template void gemm_minus_overwrite(index_t, index_t, index_t,
                                           const Complex*, index_t,
                                           const Complex*, index_t, Complex*,
                                           index_t);
-extern template double dot_minus(index_t, const double*, const double*);
-extern template float dot_minus(index_t, const float*, const float*);
-extern template Complex dot_minus(index_t, const Complex*, const Complex*);
 extern template void gemv_minus(index_t, index_t, const double*, index_t,
                                 const double*, double*);
 extern template void gemv_minus(index_t, index_t, const float*, index_t,

@@ -382,8 +382,8 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
 
   // ---- task bodies (the arithmetic is identical to the strict loop:
   // same kernels, same scratch handling, same scatter-add order).
-  std::vector<T> scratch;
-  std::vector<index_t> rpos, cpos, idx;
+  numeric::block::UpdateScratch<T> ws;
+  std::vector<index_t> idx, lsel, usel;
   std::size_t rest_ptr = 0;  // rest-updates complete in ascending K
 
   auto note_lookahead = [&](index_t K) {
@@ -511,20 +511,44 @@ void DistributedLU<T>::factorize(minimpi::Comm& comm, const DistOptions& opt) {
         off += S.U[K][uj].cols.size() * static_cast<std::size_t>(b);
       }
     }
-    // Rank-b update of the owned trailing blocks in this class. Distinct
-    // pairs write distinct destinations, so the near/rest split cannot
-    // change any accumulation order within one source K.
+    // Rank-b update of the owned trailing blocks in this class: owned L
+    // rows × owned U columns. The near class is the pairs with
+    // min(I,J) == K+1 — the row-(K+1) slab and the column-(K+1) slab; the
+    // rest is the remaining rectangle. Distinct pairs write distinct
+    // destinations, so the split cannot change any accumulation order
+    // within one source K.
+    lsel.clear();
+    usel.clear();
+    for (std::size_t bi = 0; bi < S.L[K].size(); ++bi)
+      if (grid_.prow_of(S.L[K][bi].I) == myrow_ && lptr[bi] != nullptr)
+        lsel.push_back(static_cast<index_t>(bi));
+    for (std::size_t uj = 0; uj < S.U[K].size(); ++uj)
+      if (grid_.pcol_of(S.U[K][uj].J) == mycol_ && uptr[uj] != nullptr)
+        usel.push_back(static_cast<index_t>(uj));
+    const bool row_next = !lsel.empty() && S.L[K][lsel[0]].I == K + 1;
+    const bool col_next = !usel.empty() && S.U[K][usel[0]].J == K + 1;
+    const std::span<const index_t> lall(lsel), uall(usel);
+    const auto ltail = lall.subspan(row_next ? 1 : 0);
+    const auto utail = uall.subspan(col_next ? 1 : 0);
     const auto dst = owned_store(diag_, lblocks_, ublocks_);
-    for (std::size_t bi = 0; bi < S.L[K].size(); ++bi) {
+    const auto update = [&](std::span<const index_t> ls,
+                            std::span<const index_t> us) {
+      numeric::block::update_rect(
+          S, K, ls, [&lptr](index_t bi) { return lptr[bi]; }, us,
+          [&uptr](index_t uj) { return uptr[uj]; }, dst, ws);
+    };
+    if (near_class) {
+      if (row_next) update(lall.first(1), uall);
+      if (col_next) update(ltail, uall.first(1));
+    } else {
+      update(ltail, utail);
+    }
+    // One pair edge of the panel task that reads each destination.
+    for (const index_t bi : lsel) {
       const index_t I = S.L[K][bi].I;
-      if (grid_.prow_of(I) != myrow_ || lptr[bi] == nullptr) continue;
-      for (std::size_t uj = 0; uj < S.U[K].size(); ++uj) {
+      for (const index_t uj : usel) {
         const index_t J = S.U[K][uj].J;
-        if (grid_.pcol_of(J) != mycol_ || uptr[uj] == nullptr) continue;
         if ((std::min(I, J) == K + 1) != near_class) continue;
-        numeric::block::update_pair(S, K, bi, uj, lptr[bi], uptr[uj], dst,
-                                    scratch, rpos, cpos);
-        // One pair edge of the panel task that reads the destination.
         dec(I == J  ? tid(I, kDfac)
             : I > J ? tid(J, kLpan)
                     : tid(I, kUpan));

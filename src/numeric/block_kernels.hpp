@@ -14,7 +14,7 @@
 // all column-major. A null pointer marks a block the caller does not own
 // (a rank of the distributed engine): the walks skip it, and the update
 // kernel is only ever asked to write a block its caller owns. The
-// callables are template parameters, so the per-pair path inlines to
+// callables are template parameters, so the update's scatter inlines to
 // direct pointer arithmetic — no virtual or std::function call.
 #pragma once
 
@@ -31,31 +31,34 @@
 
 namespace gesp::numeric::block {
 
-/// Binary search a block list for block index `I`; returns position or -1.
+/// Position of block index `I` in a sorted block list, or -1. The search
+/// gallops forward from `from` before bisecting, so a walk over ascending
+/// indices costs O(log gap) per step.
 template <class Block>
-index_t find_block(const std::vector<Block>& blocks, index_t I) {
-  index_t lo = 0, hi = static_cast<index_t>(blocks.size());
+index_t find_block(const std::vector<Block>& blocks, index_t I,
+                   index_t from = 0) {
+  const auto key = [&blocks](index_t p) {
+    if constexpr (requires { blocks[p].I; })
+      return blocks[p].I;
+    else
+      return blocks[p].J;
+  };
+  const index_t n = static_cast<index_t>(blocks.size());
+  index_t lo = from, hi = from, step = 1;
+  while (hi < n && key(hi) < I) {
+    lo = hi + 1;
+    hi = lo + step;
+    step *= 2;
+  }
+  hi = std::min(hi, n);
   while (lo < hi) {
     const index_t mid = lo + (hi - lo) / 2;
-    const index_t key = [&] {
-      if constexpr (requires { blocks[mid].I; })
-        return blocks[mid].I;
-      else
-        return blocks[mid].J;
-    }();
-    if (key < I)
+    if (key(mid) < I)
       lo = mid + 1;
     else
       hi = mid;
   }
-  if (lo < static_cast<index_t>(blocks.size())) {
-    if constexpr (requires { blocks[lo].I; }) {
-      if (blocks[lo].I == I) return lo;
-    } else {
-      if (blocks[lo].J == I) return lo;
-    }
-  }
-  return -1;
+  return lo < n && key(lo) == I ? lo : -1;
 }
 
 /// Position of each element of `sub` inside the sorted superset `full`.
@@ -141,131 +144,246 @@ struct BlockStore {
 template <class Diag, class LBlk, class UBlk>
 BlockStore(Diag, LBlk, UBlk) -> BlockStore<Diag, LBlk, UBlk>;
 
-/// One trailing-matrix update of source supernode K: the (bi, uj) block
-/// pair, dst(I,J) += -(L(I,K)·U(K,J)), where `lik` is the |rows|×b_K L
-/// block and `ukj` the b_K×|cols| U block. The destination is the diagonal
-/// block of I (I == J), the L block (I, J) of column J (I > J) or the U
-/// block (I, J) of row I (I < J). The product's bits depend only on the
-/// operand shapes, so every engine calling this gets the same factors.
-template <class T, class Store>
-void update_pair(const symbolic::SymbolicLU& S, index_t K, std::size_t bi,
-                 std::size_t uj, const T* lik, const T* ukj,
-                 const Store& dst_store, std::vector<T>& scratch,
-                 std::vector<index_t>& rpos, std::vector<index_t>& cpos) {
-  const index_t b = S.block_cols(K);
-  const index_t I = S.L[K][bi].I;
-  const auto& src_rows = S.L[K][bi].rows;
-  const index_t m = static_cast<index_t>(src_rows.size());
-  const index_t J = S.U[K][uj].J;
-  const auto& src_cols = S.U[K][uj].cols;
-  const index_t c = static_cast<index_t>(src_cols.size());
-  if (m == 1 && c == 1) {
-    // Scalar fast path (dominant when supernodes degenerate to single
-    // columns): the 1x1 product still goes through the dense library so the
-    // codegen (and thus rounding) is the exact kernel every other engine
-    // uses — only the scratch round-trip and subset scatter are skipped.
-    const T acc = dense::dot_minus(b, lik, ukj);
-    const index_t row = src_rows[0], col = src_cols[0];
-    if (I == J) {
-      const index_t base = S.sn_start[I];
-      dst_store.diag(I)[(row - base) + (col - base) * S.block_cols(I)] += acc;
-    } else if (I > J) {
-      const index_t dbi = find_block(S.L[J], I);
-      GESP_ASSERT(dbi >= 0, "missing destination L block");
-      const auto& dst_rows = S.L[J][dbi].rows;
-      const auto rit =
-          std::lower_bound(dst_rows.begin(), dst_rows.end(), row);
-      GESP_ASSERT(rit != dst_rows.end() && *rit == row,
-                  "symbolic structure is not closed under updates");
-      dst_store.l(J, dbi)[(rit - dst_rows.begin()) +
-                          (col - S.sn_start[J]) *
-                              static_cast<index_t>(dst_rows.size())] += acc;
-    } else {
-      const index_t dbj = find_block(S.U[I], J);
-      GESP_ASSERT(dbj >= 0, "missing destination U block");
-      const auto& dst_cols = S.U[I][dbj].cols;
-      const auto cit =
-          std::lower_bound(dst_cols.begin(), dst_cols.end(), col);
-      GESP_ASSERT(cit != dst_cols.end() && *cit == col,
-                  "symbolic structure is not closed under updates");
-      dst_store.u(I, dbj)[(row - S.sn_start[I]) +
-                          (cit - dst_cols.begin()) * S.block_cols(I)] += acc;
-    }
-    return;
-  }
-  // tmp = -(L(I,K) · U(K,J)), m-by-c; the β=0 kernel writes every entry,
-  // so no zero-fill pass over the scratch is needed.
-  scratch.resize(static_cast<std::size_t>(m) * c);
-  dense::gemm_minus_overwrite(m, c, b, lik, m, ukj, b, scratch.data(), m);
-  // Scatter-add into the destination block.
-  if (I == J) {
-    // Diagonal block of supernode I (full storage).
-    T* dst = dst_store.diag(I);
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (m == bI) {
-      // Rows cover the whole block (a subset of equal size IS the set):
-      // contiguous column adds, which vectorize.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * bI;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
+/// Entry budget of one worker's fused-update scratch: the packed L rows,
+/// the packed U columns and the product chunk each stay within it.
+inline constexpr index_t kUpdateBudget = index_t{1} << 15;
+
+/// One worker's scratch for update_rect, reused across calls. Besides the
+/// budgeted buffers it holds index arrays of at most one chunk's rows or
+/// columns.
+template <class T>
+struct UpdateScratch {
+  /// A run of one source block inside the current chunk: entries
+  /// [lo, lo+len) of block `blk` of S.L[K] (rows) or S.U[K] (columns),
+  /// at offset `at` of the chunk.
+  struct Run {
+    index_t blk, lo, len, at;
+  };
+  std::vector<Run> rows, cols;
+  std::vector<T> lpack, upack, prod;
+  std::vector<index_t> rpos, cpos;
+};
+
+namespace detail {
+
+/// Cut the blocks `sel` (sizes from size_of) into consecutive chunks of at
+/// most `cap` entries, splitting a block where it crosses the cap; calls
+/// flush(total) with `runs` describing each chunk.
+template <class Run, class SizeOf, class Flush>
+void for_each_chunk(std::span<const index_t> sel, const SizeOf& size_of,
+                    index_t cap, std::vector<Run>& runs, const Flush& flush) {
+  runs.clear();
+  index_t total = 0;
+  for (const index_t blk : sel)
+    for (index_t lo = 0, len = size_of(blk); lo < len;) {
+      const index_t take = std::min(len - lo, cap - total);
+      runs.push_back({blk, lo, take, total});
+      total += take;
+      lo += take;
+      if (total == cap) {
+        flush(total);
+        runs.clear();
+        total = 0;
       }
-      return;
     }
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      for (index_t rr = 0; rr < m; ++rr)
-        dst[(src_rows[rr] - base) + dc * bI] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
-    }
-  } else if (I > J) {
-    // L block (I, J): rows are a subset, columns are full width.
-    const index_t dbi = find_block(S.L[J], I);
-    GESP_ASSERT(dbi >= 0, "missing destination L block");
-    const auto& dst_rows = S.L[J][dbi].rows;
-    T* dst = dst_store.l(J, dbi);
-    const index_t ldd = static_cast<index_t>(dst_rows.size());
-    const index_t base = S.sn_start[J];
-    if (m == ldd) {
-      // Row sets identical: straight vectorizable adds, no position map.
-      for (index_t cc = 0; cc < c; ++cc) {
-        T* dcol = dst + (src_cols[cc] - base) * ldd;
-        const T* scol = scratch.data() + cc * static_cast<std::size_t>(m);
-        for (index_t rr = 0; rr < m; ++rr) dcol[rr] += scol[rr];
-      }
-      return;
-    }
-    subset_positions(src_rows, dst_rows, rpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      const index_t dc = src_cols[cc] - base;
-      T* dcol = dst + dc * ldd;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[rpos[rr]] += scratch[rr + cc * static_cast<index_t>(m)];
+  if (total > 0) flush(total);
+}
+
+/// Add one run of product columns into a destination block: column cc of
+/// the run, `len` entries from `src` (stride `lds` between columns), goes
+/// to column col(cc) of `dst` (leading dimension `ld`), rows contiguous
+/// from `off` when off >= 0, else at rows pos[0..len).
+template <class T, class Col>
+inline void add_run(T* dst, index_t ld, const Col& col, index_t ncols,
+                    const T* src, index_t lds, index_t len, index_t off,
+                    const index_t* pos) {
+  if (off >= 0) {
+    for (index_t cc = 0; cc < ncols; ++cc) {
+      T* d = dst + col(cc) * ld + off;
+      const T* s = src + cc * lds;
+      for (index_t r = 0; r < len; ++r) d[r] += s[r];
     }
   } else {
-    // U block (I, J): columns are a subset, rows are full height.
-    const index_t dbj = find_block(S.U[I], J);
-    GESP_ASSERT(dbj >= 0, "missing destination U block");
-    const auto& dst_cols = S.U[I][dbj].cols;
-    T* dst = dst_store.u(I, dbj);
-    const index_t bI = S.block_cols(I);
-    const index_t base = S.sn_start[I];
-    if (c == static_cast<index_t>(dst_cols.size()) && m == bI) {
-      // Columns identical and rows full height: one contiguous add over
-      // the whole m-by-c block.
-      const std::size_t len = static_cast<std::size_t>(m) * c;
-      for (std::size_t x = 0; x < len; ++x) dst[x] += scratch[x];
-      return;
-    }
-    subset_positions(src_cols, dst_cols, cpos);
-    for (index_t cc = 0; cc < c; ++cc) {
-      T* dcol = dst + cpos[cc] * bI;
-      for (index_t rr = 0; rr < m; ++rr)
-        dcol[src_rows[rr] - base] +=
-            scratch[rr + cc * static_cast<index_t>(m)];
+    for (index_t cc = 0; cc < ncols; ++cc) {
+      T* d = dst + col(cc) * ld;
+      const T* s = src + cc * lds;
+      for (index_t r = 0; r < len; ++r) d[pos[r]] += s[r];
     }
   }
+}
+
+/// Rows of run `r` of L block `src` as offsets inside supernode src.I,
+/// whose columns hold them in the diagonal and U blocks: the return value
+/// is the first offset when they are contiguous (the block holds all of
+/// I's rows), else -1 with the offsets in `pos`.
+template <class Run>
+index_t local_rows(const symbolic::SymbolicLU& S, const symbolic::LBlock& src,
+                   const Run& r, std::vector<index_t>& pos) {
+  if (static_cast<index_t>(src.rows.size()) == S.block_cols(src.I))
+    return r.lo;
+  pos.resize(static_cast<std::size_t>(r.len));
+  for (index_t rr = 0; rr < r.len; ++rr)
+    pos[rr] = src.rows[r.lo + rr] - S.sn_start[src.I];
+  return -1;
+}
+
+/// Scatter-add the R×C product chunk ws.prod (rows ws.rows, columns
+/// ws.cols of source supernode K) into the destination blocks.
+template <class T, class Store>
+void scatter_chunk(const symbolic::SymbolicLU& S, index_t K, index_t R,
+                   const Store& dst, UpdateScratch<T>& ws) {
+  const auto& rs = ws.rows;
+  const auto& cs = ws.cols;
+  const T* prod = ws.prod.data();
+  // (a) I >= J: the diagonal block of J or the L block (I, J) of column J.
+  // Column runs outer, so one forward pointer walks S.L[J].
+  std::size_t r0 = 0;  // first row run with I >= J (both lists ascend)
+  for (const auto& c : cs) {
+    const index_t J = S.U[K][c.blk].J;
+    const index_t* cols = S.U[K][c.blk].cols.data() + c.lo;
+    while (r0 < rs.size() && S.L[K][rs[r0].blk].I < J) ++r0;
+    const index_t base = S.sn_start[J];
+    index_t d = 0;
+    for (std::size_t x = r0; x < rs.size(); ++x) {
+      const auto& r = rs[x];
+      const auto& src = S.L[K][r.blk];
+      const std::span<const index_t> rows(src.rows.data() + r.lo,
+                                          static_cast<std::size_t>(r.len));
+      T* blk;
+      index_t ld, off = -1;
+      if (src.I == J) {
+        blk = dst.diag(J);
+        ld = S.block_cols(J);
+        off = local_rows(S, src, r, ws.rpos);
+      } else {
+        d = find_block(S.L[J], src.I, d);
+        GESP_ASSERT(d >= 0, "symbolic structure is not closed under updates");
+        const auto& drows = S.L[J][d].rows;
+        blk = dst.l(J, d);
+        ld = static_cast<index_t>(drows.size());
+        // Equal-length row lists are the same list (a subset of equal
+        // size is the set): no position map.
+        if (src.rows.size() == drows.size())
+          off = r.lo;
+        else
+          subset_positions(rows, drows, ws.rpos);
+      }
+      add_run(
+          blk, ld, [cols, base](index_t cc) { return cols[cc] - base; },
+          c.len, prod + r.at + c.at * R, R, r.len, off, ws.rpos.data());
+    }
+  }
+  // (b) I < J: the U block (I, J) of row I. Row runs outer, so one forward
+  // pointer walks S.U[I].
+  std::size_t c0 = 0;  // first column run with J > I
+  for (const auto& r : rs) {
+    const auto& src = S.L[K][r.blk];
+    const index_t I = src.I;
+    while (c0 < cs.size() && S.U[K][cs[c0].blk].J <= I) ++c0;
+    if (c0 == cs.size()) break;  // later row runs have larger I
+    const index_t bI = S.block_cols(I);
+    const index_t off = local_rows(S, src, r, ws.rpos);
+    index_t d = 0;
+    for (std::size_t x = c0; x < cs.size(); ++x) {
+      const auto& c = cs[x];
+      const auto& ucols = S.U[K][c.blk].cols;
+      d = find_block(S.U[I], S.U[K][c.blk].J, d);
+      GESP_ASSERT(d >= 0, "symbolic structure is not closed under updates");
+      const auto& dcols = S.U[I][d].cols;
+      T* blk = dst.u(I, d);
+      const T* src = prod + r.at + c.at * R;
+      const index_t* rpos = ws.rpos.data();
+      if (ucols.size() == dcols.size()) {
+        add_run(
+            blk, bI, [lo = c.lo](index_t cc) { return lo + cc; }, c.len, src,
+            R, r.len, off, rpos);
+      } else {
+        subset_positions({ucols.data() + c.lo, static_cast<std::size_t>(c.len)},
+                         dcols, ws.cpos);
+        const index_t* cpos = ws.cpos.data();
+        add_run(
+            blk, bI, [cpos](index_t cc) { return cpos[cc]; }, c.len, src, R,
+            r.len, off, rpos);
+      }
+    }
+  }
+}
+
+}  // namespace detail
+
+/// The fused Schur update of source supernode K over one rectangle of
+/// block pairs: dst(I,J) += -(L(I,K)·U(K,J)) for every L block in `lsel`
+/// and U block in `usel` (ascending positions in S.L[K] and S.U[K]).
+/// `lsrc(bi)` returns the |rows|×b_K L block, `usrc(uj)` the b_K×|cols| U
+/// block; the destination of a pair is the diagonal block of I (I == J),
+/// the L block (I, J) of column J (I > J) or the U block (I, J) of row I
+/// (I < J), and every one of them must be owned by the caller.
+///
+/// The chosen L blocks are packed into one R×b panel (read in place when a
+/// chunk is a single block), multiplied by the U columns in chunks — one
+/// dense::gemm_minus_overwrite per chunk, U read in place when its blocks
+/// are adjacent in memory — and each (I, J) sub-block of the product is
+/// scattered through position maps built on the fly. Rows are chunked too
+/// when R alone would exceed kUpdateBudget. Each product entry's bits
+/// depend only on b_K (dense::gemm_minus_overwrite), so the factors do not
+/// depend on how a caller cuts the rectangles: every engine gets the bits
+/// of one separate product per block pair.
+template <class T, class LSrc, class USrc, class Store>
+void update_rect(const symbolic::SymbolicLU& S, index_t K,
+                 std::span<const index_t> lsel, const LSrc& lsrc,
+                 std::span<const index_t> usel, const USrc& usrc,
+                 const Store& dst, UpdateScratch<T>& ws) {
+  if (lsel.empty() || usel.empty()) return;
+  const index_t b = S.block_cols(K);
+  const auto nrows = [&](index_t bi) {
+    return static_cast<index_t>(S.L[K][bi].rows.size());
+  };
+  const auto ncols = [&](index_t uj) {
+    return static_cast<index_t>(S.U[K][uj].cols.size());
+  };
+  detail::for_each_chunk(
+      lsel, nrows, std::max<index_t>(1, kUpdateBudget / b), ws.rows,
+      [&](index_t R) {
+        // L operand: one run is read in place, several are packed R×b.
+        const auto& rs = ws.rows;
+        const T* a = lsrc(rs[0].blk) + rs[0].lo;
+        index_t lda = nrows(rs[0].blk);
+        if (rs.size() > 1) {
+          ws.lpack.resize(static_cast<std::size_t>(R) * b);
+          for (const auto& r : rs) {
+            const T* blk = lsrc(r.blk) + r.lo;
+            const index_t m = nrows(r.blk);
+            for (index_t p = 0; p < b; ++p)
+              std::copy_n(blk + p * m, r.len, ws.lpack.data() + r.at + p * R);
+          }
+          a = ws.lpack.data();
+          lda = R;
+        }
+        detail::for_each_chunk(
+            usel, ncols, std::max<index_t>(1, kUpdateBudget / std::max(R, b)),
+            ws.cols, [&](index_t C) {
+              // U operand: read in place when the runs are adjacent in
+              // memory (always so for a packed block row), else packed.
+              const auto& cs = ws.cols;
+              const T* bm = usrc(cs[0].blk) + cs[0].lo * b;
+              bool adjacent = true;
+              for (std::size_t x = 1; x < cs.size() && adjacent; ++x)
+                adjacent = usrc(cs[x - 1].blk) +
+                               (cs[x - 1].lo + cs[x - 1].len) * b ==
+                           usrc(cs[x].blk) + cs[x].lo * b;
+              if (!adjacent) {
+                ws.upack.resize(static_cast<std::size_t>(b) * C);
+                for (const auto& c : cs)
+                  std::copy_n(usrc(c.blk) + c.lo * b, c.len * b,
+                              ws.upack.data() + c.at * b);
+                bm = ws.upack.data();
+              }
+              ws.prod.resize(static_cast<std::size_t>(R) * C);
+              dense::gemm_minus_overwrite(R, C, b, a, lda, bm, b,
+                                          ws.prod.data(), R);
+              detail::scatter_chunk(S, K, R, dst, ws);
+            });
+      });
 }
 
 /// Supernode K's contribution to max |U|: the upper triangle of its

@@ -32,6 +32,27 @@ auto packed_store(V& lnz, V& unz, const Offsets& l_off,
       }};
 }
 
+/// Walk supernode K's update owners O = min(I,J) in ascending order:
+/// fn(O, li, ui, has_row, has_col). With L[K] sorted by I and U[K] by J,
+/// the pairs owned by O are (row block I==O) × (all J >= O) plus (column
+/// block J==O) × (all I > O).
+template <class Fn>
+void for_each_owner(const symbolic::SymbolicLU& S, index_t K, Fn&& fn) {
+  const index_t nl = static_cast<index_t>(S.L[K].size());
+  const index_t nu = static_cast<index_t>(S.U[K].size());
+  index_t li = 0, ui = 0;
+  while (li < nl || ui < nu) {
+    const index_t rowI = li < nl ? S.L[K][li].I : S.nsup;
+    const index_t colJ = ui < nu ? S.U[K][ui].J : S.nsup;
+    const index_t O = std::min(rowI, colJ);
+    const bool has_row = rowI == O;
+    const bool has_col = colJ == O;
+    fn(O, li, ui, has_row, has_col);
+    if (has_row) ++li;
+    if (has_col) ++ui;
+  }
+}
+
 }  // namespace
 
 template <class T>
@@ -54,6 +75,12 @@ void LUFactors<T>::scatter_initial(const sparse::CscMatrix<T>& A) {
   unz_.resize(static_cast<std::size_t>(N));
   l_off_.resize(static_cast<std::size_t>(N));
   u_off_.resize(static_cast<std::size_t>(N));
+  std::size_t longest = 0;
+  for (index_t K = 0; K < N; ++K)
+    longest = std::max({longest, S.L[K].size(), S.U[K].size()});
+  seq_.resize(longest);
+  for (std::size_t p = 0; p < longest; ++p)
+    seq_[p] = static_cast<index_t>(p);
   for (index_t K = 0; K < N; ++K) {
     const std::size_t b = static_cast<std::size_t>(S.block_cols(K));
     std::size_t sz = b * b;
@@ -98,14 +125,29 @@ void LUFactors<T>::scatter_values(const sparse::CscMatrix<T>& A,
 }
 
 template <class T>
-void LUFactors<T>::update_pair(index_t K, std::size_t bi, std::size_t uj,
-                               std::vector<T>& scratch,
-                               std::vector<index_t>& rpos,
-                               std::vector<index_t>& cpos) {
-  block::update_pair(*sym_, K, bi, uj, lnz_[K].data() + l_off_[K][bi],
-                     unz_[K].data() + u_off_[K][uj],
-                     packed_store(lnz_, unz_, l_off_, u_off_), scratch, rpos,
-                     cpos);
+void LUFactors<T>::update_rect(index_t K, std::span<const index_t> lsel,
+                               std::span<const index_t> usel,
+                               block::UpdateScratch<T>& ws) {
+  const T* l = lnz_[K].data();
+  const T* u = unz_[K].data();
+  const auto& loff = l_off_[K];
+  const auto& uoff = u_off_[K];
+  block::update_rect(
+      *sym_, K, lsel, [l, &loff](index_t bi) { return l + loff[bi]; }, usel,
+      [u, &uoff](index_t uj) { return u + uoff[uj]; },
+      packed_store(lnz_, unz_, l_off_, u_off_), ws);
+}
+
+template <class T>
+void LUFactors<T>::update_owner(index_t K, index_t li, index_t ui,
+                                bool has_row, bool has_col,
+                                block::UpdateScratch<T>& ws) {
+  const index_t nl = static_cast<index_t>(sym_->L[K].size());
+  const index_t nu = static_cast<index_t>(sym_->U[K].size());
+  if (has_row) update_rect(K, positions(li, li + 1), positions(ui, nu), ws);
+  if (has_col)
+    update_rect(K, positions(li + (has_row ? 1 : 0), nl),
+                positions(ui, ui + 1), ws);
 }
 
 template <class T>
@@ -185,11 +227,9 @@ void LUFactors<T>::eliminate_forkjoin(const NumericOptions& opt,
   policy.strategy = opt.panel_pivot;
   policy.threshold_tau = opt.pivot_threshold_tau;
 
-  const int W = pool.num_threads();
-  // Per-worker scratch so the update pairs can run concurrently.
-  std::vector<std::vector<T>> scratch_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> rpos_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> cpos_w(static_cast<std::size_t>(W));
+  // Per-worker scratch so the update's column ranges run concurrently.
+  std::vector<block::UpdateScratch<T>> ws(
+      static_cast<std::size_t>(pool.num_threads()));
 
   for (index_t K = 0; K < N; ++K) {
     const index_t b = S.block_cols(K);
@@ -230,20 +270,17 @@ void LUFactors<T>::eliminate_forkjoin(const NumericOptions& opt,
     // In-flight growth monitor: block row K of U is final after the panel
     // phase, so the running growth is known before any further work.
     if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
-    // (3) rank-b update of the trailing matrix: each (I,J) pair writes a
-    // distinct destination block, so pairs fork across threads freely.
-    const index_t npairs = static_cast<index_t>(S.L[K].size()) *
-                           static_cast<index_t>(S.U[K].size());
+    // (3) rank-b update of the trailing matrix, fused: all L blocks × one
+    // range of U blocks per thread. Distinct (I,J) pairs write distinct
+    // destination blocks, so the ranges run concurrently.
     GESP_TRACE_SPAN_ID("factor", "update", K);
+    const index_t nl = static_cast<index_t>(S.L[K].size());
     pool.parallel_for(
-        npairs,
+        static_cast<index_t>(S.U[K].size()),
         [&](index_t lo, index_t hi, int w) {
-          for (index_t pair = lo; pair < hi; ++pair)
-            update_pair(K, static_cast<std::size_t>(pair) / S.U[K].size(),
-                        static_cast<std::size_t>(pair) % S.U[K].size(),
-                        scratch_w[w], rpos_w[w], cpos_w[w]);
+          update_rect(K, positions(0, nl), positions(lo, hi), ws[w]);
         },
-        /*grain=*/2);
+        /*grain=*/1);
   }
 }
 
@@ -346,36 +383,21 @@ void LUFactors<T>::eliminate_taskdag(const NumericOptions& opt,
     } else {
       graph.add_dependency(fk, mk);
     }
-    // Upd(K,O): all pairs with owner O = min(I,J), walked in ascending
-    // owner order. With L[K] sorted by I and U[K] sorted by J, the pairs
-    // owned by O are (row block I==O) × (all J >= O) plus (col block
-    // J==O) × (all I > O).
-    index_t li = 0, ui = 0;
-    while (li < nl || ui < nu) {
-      const index_t rowI = li < nl ? S.L[K][li].I : N;
-      const index_t colJ = ui < nu ? S.U[K][ui].J : N;
-      const index_t O = std::min(rowI, colJ);
-      const bool has_row = rowI == O;
-      const bool has_col = colJ == O;
-      const auto upd = graph.add_task(
-          [this, K, li, ui, nl, nu, has_row, has_col, O, &abort] {
+    // Upd(K,O): the updates owned by O = min(I,J), in ascending owner
+    // order — two fused slabs (see update_owner).
+    for_each_owner(S, K, [&](index_t O, index_t li, index_t ui, bool has_row,
+                             bool has_col) {
+      const auto upd =
+          graph.add_task([this, K, li, ui, has_row, has_col, O, &abort] {
             if (abort.load(std::memory_order_relaxed)) return;
             GESP_TRACE_SPAN_ID("factor", "update", O);
-            thread_local std::vector<T> scratch;
-            thread_local std::vector<index_t> rpos, cpos;
-            if (has_row)
-              for (index_t uj = ui; uj < nu; ++uj)
-                update_pair(K, li, uj, scratch, rpos, cpos);
-            if (has_col)
-              for (index_t bi = li + (has_row ? 1 : 0); bi < nl; ++bi)
-                update_pair(K, bi, ui, scratch, rpos, cpos);
+            thread_local block::UpdateScratch<T> ws;
+            update_owner(K, li, ui, has_row, has_col, ws);
           });
       graph.add_dependency(mk, upd);
       if (last_owner[O] >= 0) graph.add_dependency(last_owner[O], upd);
       last_owner[O] = upd;
-      if (has_row) ++li;
-      if (has_col) ++ui;
-    }
+    });
   }
 
   graph.run(pool);
@@ -442,11 +464,13 @@ void LUFactors<T>::eliminate_partial(const NumericOptions& opt,
   policy.strategy = opt.panel_pivot;
   policy.threshold_tau = opt.pivot_threshold_tau;
 
-  const int W = pool.num_threads();
-  std::vector<std::vector<T>> scratch_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> rpos_w(static_cast<std::size_t>(W));
-  std::vector<std::vector<index_t>> cpos_w(static_cast<std::size_t>(W));
-  std::vector<index_t> pairs;  // flattened bi*nu+uj pairs into dirty owners
+  std::vector<block::UpdateScratch<T>> ws(
+      static_cast<std::size_t>(pool.num_threads()));
+  struct OwnerSlabs {
+    index_t li, ui;
+    bool has_row, has_col;
+  };
+  std::vector<OwnerSlabs> owners;  // a clean K's updates into dirty owners
 
   for (index_t K = 0; K < N; ++K) {
     const index_t nl = static_cast<index_t>(S.L[K].size());
@@ -485,38 +509,31 @@ void LUFactors<T>::eliminate_partial(const NumericOptions& opt,
             /*grain=*/2);
       }
       if (monitor_supernode(K)) finish_growth(/*aborted=*/true);
-      // Every owner of a dirty K's pairs is dirty (the closure), so all
-      // pairs run, exactly as in the full elimination.
-      const index_t npairs = nl * nu;
+      // Every owner of a dirty K's updates is dirty (the closure), so the
+      // whole rectangle runs, exactly as in the full elimination.
       GESP_TRACE_SPAN_ID("factor", "update", K);
       pool.parallel_for(
-          npairs,
+          nu,
           [&](index_t lo, index_t hi, int w) {
-            for (index_t pair = lo; pair < hi; ++pair)
-              update_pair(K, static_cast<std::size_t>(pair) / S.U[K].size(),
-                          static_cast<std::size_t>(pair) % S.U[K].size(),
-                          scratch_w[w], rpos_w[w], cpos_w[w]);
+            update_rect(K, positions(0, nl), positions(lo, hi), ws[w]);
           },
-          /*grain=*/2);
+          /*grain=*/1);
     } else {
-      // Clean K: factors final, blocks untouched; replay only the pairs
-      // that feed a re-eliminated owner.
-      pairs.clear();
-      for (index_t bi = 0; bi < nl; ++bi) {
-        const index_t I = S.L[K][bi].I;
-        for (index_t uj = 0; uj < nu; ++uj)
-          if (dirty[std::min(I, S.U[K][uj].J)])
-            pairs.push_back(bi * nu + uj);
-      }
-      if (pairs.empty()) continue;
+      // Clean K: factors final, blocks untouched; replay only the updates
+      // that feed a re-eliminated owner, grouped by owner as in the DAG.
+      owners.clear();
+      for_each_owner(S, K, [&](index_t O, index_t li, index_t ui,
+                               bool has_row, bool has_col) {
+        if (dirty[O]) owners.push_back({li, ui, has_row, has_col});
+      });
+      if (owners.empty()) continue;
       GESP_TRACE_SPAN_ID("factor", "update", K);
       pool.parallel_for(
-          static_cast<index_t>(pairs.size()),
+          static_cast<index_t>(owners.size()),
           [&](index_t lo, index_t hi, int w) {
-            for (index_t p = lo; p < hi; ++p)
-              update_pair(K, static_cast<std::size_t>(pairs[p]) / nu,
-                          static_cast<std::size_t>(pairs[p]) % nu,
-                          scratch_w[w], rpos_w[w], cpos_w[w]);
+            for (index_t o = lo; o < hi; ++o)
+              update_owner(K, owners[o].li, owners[o].ui, owners[o].has_row,
+                           owners[o].has_col, ws[w]);
           },
           /*grain=*/2);
     }

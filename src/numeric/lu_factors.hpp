@@ -24,6 +24,11 @@ class ThreadPool;
 
 namespace gesp::numeric {
 
+namespace block {
+template <class T>
+struct UpdateScratch;
+}
+
 /// How the shared-memory factorization is scheduled across threads. Both
 /// schedules produce bitwise identical factors (and identical to serial):
 /// every destination block receives its updates in ascending source-K
@@ -55,9 +60,9 @@ struct NumericOptions {
   bool record_replacements = false;
   /// Shared-memory parallel factorization over this many threads. With
   /// the default kAuto schedule, more than one thread runs the task DAG
-  /// (no per-phase joins); kForkJoin forks panel TRSMs and update pairs
-  /// with a join per phase. Every schedule is bitwise identical to the
-  /// serial factorization. 1 = serial.
+  /// (no per-phase joins); kForkJoin forks panel TRSMs and the update's
+  /// U-block ranges with a join per phase. Every schedule is bitwise
+  /// identical to the serial factorization. 1 = serial.
   int num_threads = 1;
   /// Thread schedule; see Schedule. An explicit kTaskDag runs the DAG even
   /// on one thread (bitwise equal to the serial loop).
@@ -176,11 +181,21 @@ class LUFactors {
   void merge_pivot_stats();
   void eliminate_forkjoin(const NumericOptions& opt, ThreadPool& pool);
   void eliminate_taskdag(const NumericOptions& opt, ThreadPool& pool);
-  /// One trailing-matrix update: the (bi, uj) block pair of supernode K
-  /// through the shared kernel block::update_pair (numeric/block_kernels.hpp).
-  void update_pair(index_t K, std::size_t bi, std::size_t uj,
-                   std::vector<T>& scratch, std::vector<index_t>& rpos,
-                   std::vector<index_t>& cpos);
+  /// Fused Schur update of supernode K over the rectangle lsel × usel of
+  /// its L and U block positions (ascending) through the shared kernel
+  /// block::update_rect (numeric/block_kernels.hpp).
+  void update_rect(index_t K, std::span<const index_t> lsel,
+                   std::span<const index_t> usel,
+                   block::UpdateScratch<T>& ws);
+  /// The updates of supernode K whose destination owner is O = min(I,J):
+  /// the slabs {L block li} × U blocks ui.. (has_row) and L blocks after
+  /// li × {U block ui} (has_col) — one task-DAG update task.
+  void update_owner(index_t K, index_t li, index_t ui, bool has_row,
+                    bool has_col, block::UpdateScratch<T>& ws);
+  /// Positions [lo, hi) as a span of seq_.
+  std::span<const index_t> positions(index_t lo, index_t hi) const {
+    return {seq_.data() + lo, static_cast<std::size_t>(hi - lo)};
+  }
   /// Diagonal-block factorization of supernode K (strategy dispatch plus
   /// the local-permutation bookkeeping); stats/replacements go to the
   /// given per-K sinks so the task-DAG schedule can run F(K) concurrently.
@@ -204,6 +219,9 @@ class LUFactors {
   std::vector<std::vector<std::size_t>> l_off_;  ///< block offsets in lnz_
   std::vector<std::vector<std::size_t>> u_off_;  ///< block offsets in unz_
   std::vector<std::vector<index_t>> rowperm_;  ///< per-supernode local perm
+  /// 0, 1, 2, …, as long as the longest block list: the block position
+  /// lists handed to the update kernel are spans of it.
+  std::vector<index_t> seq_;
   std::vector<double> umax_k_;                 ///< per-supernode max |U|
   /// Per-supernode pivot bookkeeping, kept after the factorization so a
   /// partial refactorize can reset only the dirty supernodes' entries and

@@ -2,11 +2,13 @@
 // against the naive reference loops, for double and Complex, across the
 // awkward shapes around the microtile and blocking boundaries (fringes,
 // sub-tile sizes, lda > m), plus the exact guarantees the factorization
-// relies on: gemm_minus dispatch depends only on shape, and
-// gemm_minus_overwrite is bitwise equal to zero-fill + gemm_minus.
+// relies on: gemm_minus dispatch depends only on shape, gemm_minus_overwrite
+// is bitwise equal to zero-fill + gemm_minus, and each entry of the update
+// product depends on k alone, not on the shape it was computed in.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,7 +75,8 @@ TEST(GemmEquivalence, DoubleAllShapes) { check_gemm_all_shapes<double>(); }
 TEST(GemmEquivalence, ComplexAllShapes) { check_gemm_all_shapes<Complex>(); }
 
 // gemm_minus_overwrite must be *bitwise* equal to zero-filling C and
-// running gemm_minus — LUFactors::update_pair depends on it.
+// running gemm_minus (within one k-panel) — the β=0 form only skips the
+// redundant zero-fill of the update product.
 template <class T>
 void check_overwrite_bitwise() {
   for (index_t m : kShapes)
@@ -108,23 +111,57 @@ TEST(GemmOverwrite, BitwiseEqualsZeroFillPlusGemmComplex) {
   check_overwrite_bitwise<Complex>();
 }
 
-// The scalar update fast path uses dot_minus for (1,1,k) products; it must
-// be bitwise identical to the full kernel entry for that shape.
+// The update product's contract (INTERNALS §10): each entry of
+// gemm_minus_overwrite(m, n, k) is bitwise the (1,1,k) product of its own
+// row of A and column of B, for every shape, naive or tiled, below and
+// above one k-panel (kKc = 256). The fused Schur update chunks a source
+// supernode's product differently on every engine; this is why the
+// factors still agree bit for bit. Zeros in B exercise the naive loop's
+// zero-skip.
 template <class T>
-void check_dot_bitwise() {
-  for (index_t k : kShapes) {
-    auto A = random_buffer<T>(static_cast<std::size_t>(k), 12);
-    auto B = random_buffer<T>(static_cast<std::size_t>(k), 23);
-    if (k > 2) B[1] = T{};  // exercise the zero-skip
-    T full;
-    gemm_minus_overwrite(index_t{1}, index_t{1}, k, A.data(), index_t{1},
-                         B.data(), k, &full, index_t{1});
-    ASSERT_EQ(dot_minus(k, A.data(), B.data()), full) << "k=" << k;
+void check_entry_depends_on_k_only() {
+  const index_t ms[] = {1, 2, 7, 8, 9, 15, 16, 17, 33, 120, 121};
+  const index_t ns[] = {1, 2, 3, 4, 5, 6, 7, 13};
+  const index_t ks[] = {1, 2, 3, 4, 8, 24, 256, 257, 300};
+  for (index_t k : ks) {
+    const index_t lda = 121 + 2;
+    const auto A = random_buffer<T>(static_cast<std::size_t>(lda) * k, 31);
+    auto B = random_buffer<T>(static_cast<std::size_t>(k) * 13, 41);
+    for (std::size_t x = 5; x < B.size(); x += 7) B[x] = T{};
+    // The (1,1,k) entry of every row i and column j.
+    std::vector<T> one(static_cast<std::size_t>(121) * 13);
+    for (index_t j = 0; j < 13; ++j)
+      for (index_t i = 0; i < 121; ++i)
+        gemm_minus_overwrite(index_t{1}, index_t{1}, k, A.data() + i, lda,
+                             B.data() + j * static_cast<std::size_t>(k), k,
+                             &one[i + j * static_cast<std::size_t>(121)],
+                             index_t{1});
+    for (index_t m : ms)
+      for (index_t n : ns) {
+        std::vector<T> c(static_cast<std::size_t>(m) * n);
+        gemm_minus_overwrite(m, n, k, A.data(), lda, B.data(), k, c.data(),
+                             m);
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < m; ++i) {
+            const T got = c[i + j * static_cast<std::size_t>(m)];
+            const T want = one[i + j * static_cast<std::size_t>(121)];
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof(T)), 0)
+                << "m=" << m << " n=" << n << " k=" << k << " at (" << i
+                << "," << j << ")";
+          }
+      }
   }
 }
 
-TEST(GemmOverwrite, DotMinusBitwiseDouble) { check_dot_bitwise<double>(); }
-TEST(GemmOverwrite, DotMinusBitwiseComplex) { check_dot_bitwise<Complex>(); }
+TEST(GemmOverwrite, EntryDependsOnKOnlyDouble) {
+  check_entry_depends_on_k_only<double>();
+}
+TEST(GemmOverwrite, EntryDependsOnKOnlyFloat) {
+  check_entry_depends_on_k_only<float>();
+}
+TEST(GemmOverwrite, EntryDependsOnKOnlyComplex) {
+  check_entry_depends_on_k_only<Complex>();
+}
 
 TEST(GemmOverwrite, KZeroZeroFills) {
   const index_t m = 9, n = 7, ldc = 12;

@@ -92,7 +92,8 @@ TEST(FloatKernels, GemmEquivalenceAllShapes) {
 }
 
 // gemm_minus_overwrite must be *bitwise* equal to zero-fill + gemm_minus
-// for float too — LUFactors<float>::update_pair depends on it.
+// for float too (within one k-panel): the β=0 form only skips the
+// redundant zero-fill of the update product.
 TEST(FloatKernels, OverwriteBitwiseEqualsZeroFillPlusGemm) {
   for (index_t m : kShapes)
     for (index_t n : kShapes)
